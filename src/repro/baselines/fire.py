@@ -60,7 +60,9 @@ class PrunedEnvironment(MKGEnvironment):
             -float(np.linalg.norm(self._entity_embeddings[entity] - target))
             for _, entity in actions
         ]
-        keep = np.argsort(scores)[::-1][: self.prune_to]
+        # Stable, so tied targets (two relations reaching one neighbour) are
+        # kept by position, not by numpy's choice of sorting kernel.
+        keep = np.argsort(scores, kind="stable")[::-1][: self.prune_to]
         return [actions[i] for i in sorted(keep)]
 
 

@@ -11,7 +11,10 @@ pipeline on a fresh process:
   encoder, policy).
 
 The synthetic datasets are deterministic functions of their config, so the
-graph and modalities are regenerated rather than stored.  A restored pipeline
+graph and modalities are regenerated rather than stored.  A graph-only
+pipeline (:func:`repro.serve.reasoner.reasoner_over_graph`) has no config to
+regenerate from: its CSR graph and feature matrices are saved under
+``graph/`` and memory-mapped back on load.  A restored pipeline
 can evaluate, explain, and be adapted to few-shot tasks immediately; to
 continue REINFORCE training, call :meth:`~repro.core.trainer.MMKGRPipeline.
 pretrain_shaper` first so the destination reward has its shaping scorer back.
@@ -34,7 +37,9 @@ from repro.core.config_io import (
 from repro.core.model import MMKGRAgent
 from repro.core.trainer import MMKGRPipeline
 from repro.features.extraction import FeatureStore, ModalityConfig
-from repro.kg.datasets import build_dataset
+from repro.kg.csr import CSRKnowledgeGraph
+from repro.kg.datasets import GraphOnlyDataset, build_dataset
+from repro.kg.multimodal import MultiModalKnowledgeGraph
 from repro.rl.environment import MKGEnvironment
 from repro.rl.rewards import ZeroOneReward, build_reward
 from repro.utils.rng import SeedLike
@@ -44,6 +49,7 @@ PathLike = Union[str, Path]
 CHECKPOINT_FILE = "checkpoint.json"
 STRUCTURAL_FILE = "structural.npz"
 AGENT_FILE = "agent.npz"
+GRAPH_DIR = "graph"
 FORMAT_VERSION = 1
 
 
@@ -54,9 +60,19 @@ def save_checkpoint(pipeline: MMKGRPipeline, directory: PathLike) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
+    dataset = pipeline.dataset
+    if isinstance(dataset, GraphOnlyDataset):
+        if not isinstance(dataset.graph, CSRKnowledgeGraph):
+            raise TypeError(
+                "a graph-only checkpoint stores its graph as CSR arrays; build "
+                "the reasoner over a CSRKnowledgeGraph"
+            )
+        dataset.graph.save(directory / GRAPH_DIR)
+        dataset.mkg.save_modalities(directory / GRAPH_DIR)
     manifest = {
         "format_version": FORMAT_VERSION,
-        "dataset_config": dataset_config_to_dict(pipeline.dataset.config),
+        "dataset_config": dataset_config_to_dict(dataset.config),
+        "graph_only": isinstance(dataset, GraphOnlyDataset),
         "preset": preset_to_dict(pipeline.preset),
         "modalities": {
             "use_image": pipeline.modalities.use_image,
@@ -100,8 +116,16 @@ def load_checkpoint(directory: PathLike, rng: SeedLike = None) -> MMKGRPipeline:
     with np.load(directory / AGENT_FILE) as archive:
         state = {key: archive[key] for key in archive.files}
     return restore_pipeline(
-        manifest, entity_embeddings, relation_embeddings, state, rng=rng
+        manifest, entity_embeddings, relation_embeddings, state, directory, rng=rng
     )
+
+
+def _restore_dataset(manifest: dict, directory: Path):
+    if not manifest.get("graph_only"):
+        return build_dataset(dataset_config_from_dict(manifest["dataset_config"]))
+    graph = CSRKnowledgeGraph.load(directory / GRAPH_DIR, mmap=True)
+    mkg = MultiModalKnowledgeGraph.load_modalities(directory / GRAPH_DIR, graph)
+    return GraphOnlyDataset.wrap(mkg, name=manifest["dataset_config"]["name"])
 
 
 def restore_pipeline(
@@ -109,6 +133,7 @@ def restore_pipeline(
     entity_embeddings: np.ndarray,
     relation_embeddings: np.ndarray,
     agent_state: dict,
+    directory: PathLike,
     rng: SeedLike = None,
     copy: bool = True,
 ) -> MMKGRPipeline:
@@ -118,9 +143,10 @@ def restore_pipeline(
     archives (:func:`load_checkpoint`), but the serving arena path hands in
     read-only memory-mapped views instead and sets ``copy=False`` so the
     restored agent's parameters stay views into the mmap — zero weight
-    copies per worker process.
+    copies per worker process.  ``directory`` is the checkpoint itself,
+    which holds the graph of a graph-only pipeline.
     """
-    dataset = build_dataset(dataset_config_from_dict(manifest["dataset_config"]))
+    dataset = _restore_dataset(manifest, Path(directory))
     preset = preset_from_dict(manifest["preset"])
     modalities = ModalityConfig(**manifest["modalities"])
     pipeline = MMKGRPipeline(

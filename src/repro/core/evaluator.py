@@ -140,8 +140,8 @@ def evaluate_relation_prediction(
     # into each engine call, but only ~batch_size results at a time: scored
     # rows are discarded immediately, so peak memory stays flat however many
     # test triples the protocol covers.  One shared action-space cache spans
-    # every chunk — the grid revisits the same heads under every candidate
-    # relation, so a per-chunk cache would rebuild the same action matrices.
+    # every chunk: query-dependent environments (FIRE) look their action
+    # spaces up in it; stock ones gather them from the graph instead.
     cache = cache or _action_cache_for(agent, environment, config)
     rows_per_chunk = max(1, config.batch_size // max(1, grid))
     for chunk_start in range(0, len(triples), rows_per_chunk):

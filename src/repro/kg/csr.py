@@ -21,11 +21,12 @@ mmap_mode="r")`` — the same zero-copy convention as the serving weight arena
 (:mod:`repro.serve.arena`): pages fault in on first touch and live in the OS
 page cache, shared across every process mapping the same files.
 
-Action spaces are *lazily materialized*: beam search and the RL environment
-consume ``outgoing_edges(entity)`` as a list of ``(relation, tail)`` tuples,
-which for CSR is built from the row slice on first touch and kept in a
-bounded LRU (serving traffic is Zipf-skewed, so a small cache covers most
-expansions without ever materializing the cold tail of the graph).
+Beam search reads the arrays themselves (``adjacency_arrays``): one
+``indptr``-driven gather expands a whole frontier without building a Python
+object per edge.  Per-entity callers (the RL environment's
+``available_actions``, path enumeration) consume ``outgoing_edges(entity)``
+as a list of ``(relation, tail)`` tuples, which for CSR is built from the
+row slice on first touch and kept in a bounded LRU.
 
 >>> from repro.kg.graph import KnowledgeGraph
 >>> dict_graph = KnowledgeGraph()
@@ -279,6 +280,10 @@ class CSRKnowledgeGraph:
         if not 0 <= entity < self.num_entities:
             raise IndexError(f"entity id {entity} out of range")
         return self._row(entity)
+
+    def adjacency_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every action space as ``(indptr, relations, tails)`` (no copy)."""
+        return self._indptr, self._adj_relations, self._adj_tails
 
     def outgoing_edges(self, entity: int) -> List[Tuple[int, int]]:
         """Outgoing ``(relation, neighbour)`` pairs: the RL action space.

@@ -14,7 +14,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.kg.vocab import Vocabulary
 
@@ -87,6 +90,9 @@ class KnowledgeGraph:
         self._outgoing: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
         # (head, relation) -> set of tails, for filtered evaluation.
         self._tails_by_query: Dict[Tuple[int, int], Set[int]] = defaultdict(set)
+        # CSR snapshot of ``_outgoing`` for vectorised frontier expansion;
+        # built on first use, dropped whenever an edge is added.
+        self._adjacency: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         if add_no_op:
             self.relations.add(NO_OP_RELATION)
 
@@ -116,6 +122,7 @@ class KnowledgeGraph:
             return triple
         self._triple_set.add(key)
         self._triples.append(triple)
+        self._adjacency = None
         self._outgoing[triple.head].append((triple.relation, triple.tail))
         self._tails_by_query[(triple.head, triple.relation)].add(triple.tail)
         if self.add_inverse:
@@ -170,6 +177,28 @@ class KnowledgeGraph:
     def outgoing_edges(self, entity: int) -> List[Tuple[int, int]]:
         """Outgoing ``(relation, neighbour)`` pairs: the RL action space at ``entity``."""
         return list(self._outgoing.get(entity, []))
+
+    def adjacency_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every action space as CSR arrays ``(indptr, relations, tails)``.
+
+        Row ``e`` holds exactly ``outgoing_edges(e)``, in insertion order.
+        Built once in a single pass and reused until the next ``add_triple``
+        (or until the shared entity vocabulary grows).
+        """
+        snapshot = self._adjacency
+        if snapshot is None or len(snapshot[0]) != self.num_entities + 1:
+            rows = [self._outgoing.get(entity, ()) for entity in range(self.num_entities)]
+            indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)),
+                      out=indptr[1:])
+            edges = np.fromiter(
+                chain.from_iterable(chain.from_iterable(rows)),
+                dtype=np.int64,
+                count=2 * int(indptr[-1]),
+            ).reshape(-1, 2)
+            snapshot = (indptr, edges[:, 0].copy(), edges[:, 1].copy())
+            self._adjacency = snapshot
+        return snapshot
 
     def neighbors(self, entity: int) -> Tuple[int, ...]:
         """The neighbour entities ``N_t`` used in the MDP state (Section IV-C).

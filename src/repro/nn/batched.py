@@ -17,7 +17,12 @@ the single home for those primitives:
   autograd :class:`~repro.nn.tensor.Tensor` ops, used by the training engine
   where gradients must flow into the fusion/projection weights;
 * :func:`pad_action_matrices` — padded/masked action-embedding batches for
-  per-query action spaces of different sizes.
+  per-query action spaces of different sizes;
+* :func:`segment_offsets`, :func:`segment_rows`, :func:`segment_softmax`,
+  :func:`segment_top_k` and :func:`grouped_top_k` — per-row operations over
+  ragged rows laid out flat (CSR ``indptr`` offsets, or group ids), which is
+  how the beam-search engine scores and prunes a whole frontier without a
+  Python loop per branch.
 
 Both fusion classes implement the exact formulas of the fuser modules
 (gate-attention family, structure-only, concatenation); agents with a custom
@@ -51,6 +56,79 @@ def stable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=axis, keepdims=True)
+
+
+def segment_offsets(counts: np.ndarray) -> np.ndarray:
+    """The CSR ``indptr`` of consecutive rows of the given sizes."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+def segment_rows(indptr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows, positions)`` of every element of a flat CSR layout.
+
+    Element ``j`` belongs to row ``rows[j]`` and sits at offset
+    ``positions[j]`` inside it; empty rows own no elements.
+
+    >>> segment_rows(np.array([0, 2, 2, 5]))
+    (array([0, 0, 2, 2, 2]), array([0, 1, 0, 1, 2]))
+    """
+    indptr = np.asarray(indptr)
+    counts = np.diff(indptr)
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return rows, np.arange(int(indptr[-1])) - indptr[rows]
+
+
+def segment_softmax(scores: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """:func:`stable_softmax` of every row ``scores[indptr[i]:indptr[i + 1]]``.
+
+    One ``reduceat`` pass for the row maxima and one for the row sums; empty
+    rows are skipped (``reduceat`` cannot express them).
+    """
+    counts = np.diff(indptr)
+    nonempty = counts > 0
+    starts, sizes = indptr[:-1][nonempty], counts[nonempty]
+    if not len(starts):
+        return np.empty(0)
+    shifted = scores - np.repeat(np.maximum.reduceat(scores, starts), sizes)
+    exp = np.exp(shifted)
+    return exp / np.repeat(np.add.reduceat(exp, starts), sizes)
+
+
+def segment_top_k(values: np.ndarray, indptr: np.ndarray, k: int) -> np.ndarray:
+    """Flat indices of the ``k`` largest ``values`` of every row, best first.
+
+    Row ``i`` picks what ``np.argsort(row, kind="stable")[::-1][:k]`` picks:
+    equal values rank the later element first.  The result lists row 0's
+    picks, then row 1's, and so on.  Rows are sorted side by side in a
+    padded ``(rows, widest row)`` matrix.
+    """
+    counts = np.diff(indptr)
+    if not len(values):
+        return np.empty(0, dtype=np.int64)
+    rows, positions = segment_rows(indptr)
+    width = int(counts.max())
+    # Each row right-aligned and reversed, so a stable ascending sort of the
+    # negated values meets the later of two equal elements first.
+    padded = np.full((len(counts), width), np.inf)
+    padded[rows, width - 1 - positions] = -values
+    columns = np.argsort(padded, axis=1, kind="stable")[:, :k]
+    real = columns >= (width - counts)[:, None]
+    return (indptr[:-1, None] + (width - 1 - columns))[real]
+
+
+def grouped_top_k(groups: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` highest ``scores`` of every group, best first.
+
+    Equal scores keep index order.  The result lists group 0's picks, then
+    group 1's, and so on; ``groups`` holds non-negative ids.
+    """
+    order = np.lexsort((-scores, groups))  # stable
+    ordered = groups[order]
+    counts = np.bincount(ordered)
+    starts = np.cumsum(counts) - counts
+    return order[np.arange(len(order)) - starts[ordered] < k]
 
 
 class BatchedLSTM:

@@ -18,7 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.kg.graph import KnowledgeGraph
+from repro.nn.batched import segment_offsets, segment_rows
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,59 @@ class MKGEnvironment:
         if no_op is not None:
             actions = actions + [(no_op, state.current_entity)]
         return actions
+
+    def expand_frontier(
+        self,
+        entities: np.ndarray,
+        step: int,
+        query_relations: np.ndarray,
+        query_answers: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`available_actions` of many branches at ``step``, vectorised.
+
+        Branch ``i`` stands on ``entities[i]`` for a query with relation
+        ``query_relations[i]`` and gold answer ``query_answers[i]``.  Returns
+        the action spaces as CSR arrays ``(indptr, relations, tails)``: branch
+        ``i`` owns ``relations[indptr[i]:indptr[i + 1]]`` (and the same slice
+        of ``tails``), equal, in order, to ``available_actions`` of its state.
+        The rules apply in the same order: answer-edge masking at step 0, the
+        ``max_actions`` prefix, then the NO_OP action.  Subclasses that
+        override ``available_actions`` are not reflected here.
+        """
+        indptr, relations, tails = self.graph.adjacency_arrays()
+        entities = np.asarray(entities, dtype=np.int64)
+        masking = self.mask_answer_edge and step == 0
+        starts = indptr[entities]
+        counts = indptr[entities + 1] - starts
+        if self.max_actions is not None:
+            # Hubs hold thousands of edges; gather only the prefix that can
+            # survive truncation (one more at step 0, where masking can drop
+            # the answer edge — a row holds it at most once).
+            counts = np.minimum(counts, self.max_actions + masking)
+        rows, positions = segment_rows(segment_offsets(counts))
+        index = starts[rows] + positions
+        relations, tails = relations[index], tails[index]
+        if masking:
+            keep = (relations != query_relations[rows]) | (tails != query_answers[rows])
+            rows, relations, tails = rows[keep], relations[keep], tails[keep]
+            counts = np.bincount(rows, minlength=len(entities))
+            positions = np.arange(len(rows)) - segment_offsets(counts)[rows]
+        if self.max_actions is not None:
+            keep = positions < self.max_actions
+            relations, tails = relations[keep], tails[keep]
+            counts = np.minimum(counts, self.max_actions)
+        no_op = self.graph.no_op_relation_id
+        if no_op is None:
+            return segment_offsets(counts), relations, tails
+        indptr = segment_offsets(counts + 1)
+        edge = np.ones(int(indptr[-1]), dtype=bool)
+        edge[indptr[1:] - 1] = False
+        with_relations = np.full(len(edge), no_op, dtype=relations.dtype)
+        with_relations[edge] = relations
+        with_tails = np.empty(len(edge), dtype=np.int64)
+        with_tails[edge] = tails
+        with_tails[~edge] = entities
+        return indptr, with_relations, with_tails
 
     # ------------------------------------------------------------------- step
     def step(self, state: EpisodeState, action: Tuple[int, int]) -> EpisodeState:

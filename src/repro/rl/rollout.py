@@ -178,8 +178,10 @@ def beam_search(
             agent.restore(snapshot)
             actions = environment.available_actions(state)
             probabilities = agent.action_probabilities(state, actions)
-            # Expand only the locally most probable actions to bound the fanout.
-            top = np.argsort(probabilities)[::-1][:beam_width]
+            # Expand only the locally most probable actions to bound the fanout;
+            # a stable sort makes ties rank the later action first, whatever
+            # sorting kernel numpy dispatches to.
+            top = np.argsort(probabilities, kind="stable")[::-1][:beam_width]
             for action_index in top:
                 candidates.append(
                     (

@@ -207,6 +207,7 @@ def load_arena_reasoner(save_dir: PathLike, rng: SeedLike = None):
         entity,
         relation,
         agent_state,
+        save_dir,
         rng=rng,
         copy=False,
     )

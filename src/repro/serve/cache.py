@@ -1,12 +1,13 @@
-"""LRU caches for the hot query path.
+"""The action-space LRU for query-dependent environments.
 
-Beam search touches the same entities over and over: serving traffic is
-skewed towards popular heads, and every branch expansion rebuilds the action
-space and the stacked ``[relation ; entity]`` action-embedding matrix of the
-entity it sits on.  Both are pure functions of the entity (given a fixed
-graph and fixed embeddings), so a per-reasoner LRU cache removes them from
-the per-query cost.  ``fit`` and checkpoint loading invalidate the cache by
-constructing a fresh one.
+Stock action spaces are a function of the graph alone, and the beam-search
+engine expands them for a whole frontier in one gather over the graph's CSR
+arrays — no cache involved.  Environments that override
+``available_actions`` (e.g. FIRE's embedding-pruned environment) compute an
+action space per branch in Python; serving traffic is skewed towards popular
+heads, so a per-reasoner LRU over those results removes most of that cost.
+``fit`` and checkpoint loading invalidate the cache by constructing a fresh
+one.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ __all__ = ["ActionSpaceCache", "LRUCache"]
 
 
 class ActionSpaceCache:
-    """Caches action spaces and stacked action-embedding matrices per entity.
+    """Caches action spaces per entity (and per query when they depend on it).
 
     The cache respects environment subclasses that override
     ``available_actions`` (e.g. FIRE's embedding-pruned environment): their
@@ -50,7 +51,6 @@ class ActionSpaceCache:
             type(environment).available_actions is not MKGEnvironment.available_actions
         )
         self.actions_cache: LRUCache[tuple, List[Tuple[int, int]]] = LRUCache(maxsize)
-        self.matrix_cache: LRUCache[tuple, np.ndarray] = LRUCache(maxsize)
 
     # ------------------------------------------------------------------- keys
     def _key(self, entity: int, query: Query) -> tuple:
@@ -86,13 +86,11 @@ class ActionSpaceCache:
     def action_matrix(
         self, state: EpisodeState, actions: List[Tuple[int, int]]
     ) -> np.ndarray:
-        """The stacked ``[relation ; entity]`` rows for ``actions`` at ``state``."""
-        key = self._cache_key(state)
-        if key is None:
-            return self._stack(actions)
-        return self.matrix_cache.get_or_compute(key, lambda: self._stack(actions))
+        """The stacked ``[relation ; entity]`` rows for ``actions`` at ``state``.
 
-    def _stack(self, actions: List[Tuple[int, int]]) -> np.ndarray:
+        Gathered on every call: one fancy index per embedding table costs
+        less than keeping a matrix per entity alive in an LRU.
+        """
         relations = np.fromiter((r for r, _ in actions), dtype=np.intp, count=len(actions))
         entities = np.fromiter((e for _, e in actions), dtype=np.intp, count=len(actions))
         return np.concatenate(
@@ -105,10 +103,7 @@ class ActionSpaceCache:
         return {
             "actions_hits": self.actions_cache.hits,
             "actions_misses": self.actions_cache.misses,
-            "matrix_hits": self.matrix_cache.hits,
-            "matrix_misses": self.matrix_cache.misses,
         }
 
     def clear(self) -> None:
         self.actions_cache.clear()
-        self.matrix_cache.clear()

@@ -5,7 +5,8 @@ Two families implement :class:`~repro.serve.protocol.ReasonerProtocol`:
 * :class:`Reasoner` wraps a (trained) :class:`~repro.core.trainer.
   MMKGRPipeline` — MMKGR itself, its ablation variants, and the RL baselines
   that reuse the pipeline (MINERVA, FIRE, RLH).  Queries run through the
-  batched beam-search engine with a per-reasoner action-space cache;
+  batched beam-search engine (with a per-reasoner action-space cache for
+  query-dependent environments);
   persistence rides on the existing checkpoint layer.
 * :class:`EmbeddingReasoner` wraps any model exposing
   ``score_tails(head, relation)`` over a known graph — the single-hop
@@ -445,9 +446,11 @@ def reasoner_over_graph(
     The million-entity capacity path: no TransE pre-training and no REINFORCE
     — the agent keeps its (seed-deterministic) initialization weights, so
     predictions are reproducible but not meaningful.  What this exercises is
-    everything *around* the model at full fidelity: CSR adjacency expansion,
-    the action-space LRU caches, and the lockstep beam-search engine — which
-    is exactly what capacity benchmarks and `mmkgr query --graph` need.
+    everything *around* the model at full fidelity: CSR frontier expansion
+    and the lockstep beam-search engine — which is exactly what capacity
+    benchmarks and `mmkgr query --graph` need.  Such a reasoner saves and
+    loads like any other (its checkpoint carries the CSR graph), so it also
+    serves from process workers.
 
     ``graph`` is any graph backend (typically a memory-mapped
     :class:`~repro.kg.csr.CSRKnowledgeGraph`).  When no ``mkg`` is given, the

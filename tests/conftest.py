@@ -98,3 +98,34 @@ def tiny_preset() -> ExperimentPreset:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def pruned_reasoner_of():
+    """Factory: a fitted reasoner's agent over FIRE's query-dependent pruned
+    environment — the action spaces that still go through the LRU cache."""
+    from repro.baselines.fire import PrunedEnvironment
+    from repro.core.trainer import MMKGRPipeline
+    from repro.serve import Reasoner
+
+    def build(reasoner):
+        pipeline = reasoner.pipeline
+        environment = PrunedEnvironment(
+            pipeline.dataset.train_graph,
+            max_steps=pipeline.environment.max_steps,
+            max_actions=pipeline.environment.max_actions,
+            entity_embeddings=pipeline.features.entity_embeddings,
+            relation_embeddings=pipeline.features.relation_embeddings,
+            prune_to=4,
+        )
+        return Reasoner.from_pipeline(
+            MMKGRPipeline.from_components(
+                pipeline.dataset,
+                agent=pipeline.agent,
+                environment=environment,
+                features=pipeline.features,
+                preset=pipeline.preset,
+            )
+        )
+
+    return build

@@ -24,7 +24,7 @@ from repro.core.evaluator import (
     hop_distribution,
 )
 from repro.core.trainer import MMKGRPipeline
-from repro.kg.graph import KnowledgeGraph
+from repro.kg.graph import KnowledgeGraph, Triple
 from repro.rl.environment import MKGEnvironment, Query
 from repro.serve.engine import BatchBeamSearch
 
@@ -164,6 +164,47 @@ class TestBaselineParity:
             for config in (vectorized, scalar)
         ]
         assert results[0] == results[1]
+
+
+class TestDeadBranches:
+    """Without NO_OP a branch can run out of actions: it stays in the beam
+    with its log-probability and keeps competing for the ``beam_width``
+    slots."""
+
+    @pytest.fixture
+    def fork(self, trained_pipeline):
+        """``s -r-> a -r-> c`` and ``s -r-> b``, where ``b`` is a dead end."""
+        dataset, pipeline = trained_pipeline
+        train = dataset.splits.train_graph
+        graph = KnowledgeGraph(
+            entity_vocab=train.entities,
+            relation_vocab=train.relations,
+            add_inverse=False,
+            add_no_op=False,
+        )
+        s, a, b, c, r = 0, 1, 2, 3, 0
+        for head, tail in ((s, a), (s, b), (a, c)):
+            graph.add_triple(Triple(head, r, tail))
+        environment = MKGEnvironment(graph, max_steps=2)
+        query = Query(s, r, -1)
+        pipeline.agent.begin_episode(query)
+        probabilities = pipeline.agent.action_probabilities(
+            environment.reset(query), [(r, a), (r, b)]
+        )
+        return pipeline.agent, environment, query, np.log(probabilities + 1e-12)
+
+    def test_dead_branch_stays_in_the_beam(self, fork):
+        agent, environment, query, (to_a, to_b) = fork
+        result = BatchBeamSearch(agent, environment, beam_width=2).run([query])[0]
+        assert result.paths == {3: [(0, 1), (0, 3)], 2: [(0, 2)]}
+        assert result.entity_hops == {3: 2, 2: 1}
+        assert result.entity_log_probs[2] == pytest.approx(to_b, abs=1e-9)
+        assert result.entity_log_probs[3] == pytest.approx(to_a, abs=1e-9)
+
+    def test_dead_branch_competes_for_the_slots(self, fork):
+        agent, environment, query, (to_a, to_b) = fork
+        result = BatchBeamSearch(agent, environment, beam_width=1).run([query])[0]
+        assert list(result.entity_log_probs) == [3 if to_a > to_b else 2]
 
 
 class _UniformAgent:

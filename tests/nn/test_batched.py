@@ -21,7 +21,11 @@ from repro.nn.batched import (
     BatchedFusion,
     BatchedLSTM,
     DifferentiableBatchedFusion,
+    grouped_top_k,
     pad_action_matrices,
+    segment_rows,
+    segment_softmax,
+    segment_top_k,
     stable_sigmoid,
     stable_softmax,
 )
@@ -272,3 +276,42 @@ class TestPadActionMatrices:
             pad_action_matrices(
                 [[(0, 1)], []], features.relation_embeddings, features.entity_embeddings
             )
+
+
+class TestSegmentOps:
+    """The flat-frontier helpers equal their per-row counterparts."""
+
+    INDPTR = np.array([0, 3, 3, 8, 9, 26])
+
+    @pytest.fixture
+    def values(self):
+        rng = np.random.default_rng(4)
+        # Mixed ties: a few distinct values, repeated within and across rows.
+        return rng.integers(0, 4, size=int(self.INDPTR[-1])).astype(float) / 10
+
+    def _rows(self, values):
+        return [values[a:b] for a, b in zip(self.INDPTR[:-1], self.INDPTR[1:])]
+
+    def test_segment_rows(self):
+        rows, positions = segment_rows(self.INDPTR)
+        assert rows.tolist() == [0] * 3 + [2] * 5 + [3] + [4] * 17
+        assert positions.tolist() == [0, 1, 2, 0, 1, 2, 3, 4, 0] + list(range(17))
+
+    def test_segment_softmax_matches_rowwise(self, values):
+        got = segment_softmax(values, self.INDPTR)
+        expected = np.concatenate([stable_softmax(row) for row in self._rows(values) if len(row)])
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 30])
+    def test_segment_top_k_matches_reversed_stable_argsort(self, values, k):
+        expected = [
+            start + index
+            for start, row in zip(self.INDPTR[:-1], self._rows(values))
+            for index in np.argsort(row, kind="stable")[::-1][:k]
+        ]
+        assert segment_top_k(values, self.INDPTR, k).tolist() == expected
+
+    def test_grouped_top_k_keeps_index_order_on_ties(self):
+        groups = np.array([1, 0, 1, 1, 0, 1, 0])
+        scores = np.array([0.5, 0.2, 0.9, 0.5, 0.2, 0.5, 0.1])
+        assert grouped_top_k(groups, scores, 2).tolist() == [1, 4, 2, 0]

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.rl.environment import MKGEnvironment, Query
+from repro.kg.csr import CSRKnowledgeGraph
+from repro.kg.graph import KnowledgeGraph
+from repro.rl.environment import EpisodeState, MKGEnvironment, Query
 
 
 @pytest.fixture()
@@ -111,3 +114,80 @@ class TestTransitions:
         environment.step(state, (works, acme))
         assert state.visited_entities() == [query.source, acme]
         assert state.relation_path() == [works]
+
+
+class TestExpandFrontier:
+    """The vectorised frontier equals ``available_actions`` branch by branch."""
+
+    NO_ANSWER = -1
+
+    @staticmethod
+    def _branches(graph):
+        """Every entity without an answer, and once per edge with that edge as the answer."""
+        branches = []
+        for entity in range(graph.num_entities):
+            branches.append((entity, 0, TestExpandFrontier.NO_ANSWER))
+            branches.extend((entity, r, t) for r, t in graph.outgoing_edges(entity))
+        return [np.asarray(column) for column in zip(*branches)]
+
+    @staticmethod
+    def _assert_parity(environment, step):
+        entities, relations, answers = TestExpandFrontier._branches(environment.graph)
+        indptr, frontier_relations, frontier_tails = environment.expand_frontier(
+            entities, step, relations, answers
+        )
+        assert len(indptr) == len(entities) + 1
+        for i, (entity, relation, answer) in enumerate(zip(entities, relations, answers)):
+            state = EpisodeState(
+                query=Query(int(entity), int(relation), int(answer)),
+                current_entity=int(entity),
+                step=step,
+            )
+            start, end = indptr[i], indptr[i + 1]
+            got = list(
+                zip(frontier_relations[start:end].tolist(), frontier_tails[start:end].tolist())
+            )
+            assert got == environment.available_actions(state), (entity, relation, answer)
+
+    @pytest.fixture(params=["dict", "csr"])
+    def graph(self, request, tiny_graph):
+        if request.param == "dict":
+            return tiny_graph
+        return CSRKnowledgeGraph.from_graph(tiny_graph)
+
+    @pytest.mark.parametrize("step", [0, 1])
+    @pytest.mark.parametrize("max_actions", [None, 2])
+    def test_matches_available_actions(self, graph, step, max_actions):
+        degrees = [graph.degree(e) for e in range(graph.num_entities)]
+        assert max_actions is None or max_actions < max(degrees)
+        environment = MKGEnvironment(graph, max_steps=3, max_actions=max_actions)
+        self._assert_parity(environment, step)
+
+    def test_graph_without_no_op_has_empty_rows(self, tiny_graph):
+        graph = KnowledgeGraph(add_no_op=False)
+        for triple in tiny_graph.triples():
+            graph.add_triple_by_name(
+                tiny_graph.entities.symbol(triple.head),
+                tiny_graph.relations.symbol(triple.relation),
+                tiny_graph.entities.symbol(triple.tail),
+            )
+        graph.add_entity("isolated")
+        for backend in (graph, CSRKnowledgeGraph.from_graph(graph)):
+            environment = MKGEnvironment(backend, max_steps=3, max_actions=2)
+            self._assert_parity(environment, 0)
+            self._assert_parity(environment, 1)
+            indptr, _, _ = environment.expand_frontier(
+                np.array([backend.entity_id("isolated")]), 1, np.array([0]), np.array([-1])
+            )
+            assert indptr.tolist() == [0, 0]
+
+    def test_dict_snapshot_is_rebuilt_after_add_triple(self, tiny_graph):
+        graph = tiny_graph.subgraph(tiny_graph.triples())  # the fixture is shared
+        environment = MKGEnvironment(graph, max_steps=3)
+        self._assert_parity(environment, 0)
+        snapshot = graph.adjacency_arrays()
+        assert graph.adjacency_arrays() is snapshot  # cached between calls
+        graph.add_triple_by_name("alice", "friend_of", "carol")
+        assert graph.adjacency_arrays() is not snapshot
+        self._assert_parity(environment, 0)
+        self._assert_parity(environment, 1)

@@ -203,3 +203,31 @@ class TestInMemorySpill:
         finally:
             server.close()
         assert all(not spill.exists() for spill in spill_dirs)
+
+
+class TestGraphOnlyReasoner:
+    def test_graph_only_reasoner_serves_from_a_worker(self, tmp_path):
+        # A reasoner over a bare graph has no dataset config to rebuild the
+        # graph from; its checkpoint carries the CSR arrays instead.
+        from repro.kg.csr import CSRKnowledgeGraph
+        from repro.kg.synthetic import ScaleFreeKGConfig, generate_scale_free_graph
+        from repro.serve.reasoner import reasoner_over_graph
+
+        generate_scale_free_graph(ScaleFreeKGConfig(num_entities=2000, seed=5)).save(
+            tmp_path / "graph"
+        )
+        graph = CSRKnowledgeGraph.load(tmp_path / "graph")
+        reasoner = reasoner_over_graph(graph, name="graph-only", rng=3)
+        queries = [
+            (int(head), int(relation))
+            for head, relation, _ in graph.triples_array()[::400][:6]
+        ]
+        expected = reasoner.query_batch(queries, k=5)
+        with ReasoningServer(
+            reasoner, config=ServeConfig(workers=1, **_PROC_CONFIG)
+        ) as server:
+            got = [server.query(h, r, k=5) for h, r in queries]
+        assert _rankings(got) == _rankings(expected)
+        assert [[p.path for p in ps] for ps in got] == [
+            [p.path for p in ps] for ps in expected
+        ]

@@ -78,9 +78,13 @@ class TestSubmit:
         assert len(five) <= 5
         assert _ranking(three) == _ranking(five)[: len(three)]
 
-    def test_worker_pool_replicas_share_caches(self, fitted_reasoner, test_queries):
+    def test_worker_pool_replicas_share_caches(
+        self, fitted_reasoner, test_queries, pruned_reasoner_of
+    ):
+        # FIRE's pruned environment is the path that still fills the cache.
+        pruned = pruned_reasoner_of(fitted_reasoner)
         with ReasoningServer(
-            fitted_reasoner, max_batch_size=4, max_wait_ms=10, num_workers=3
+            pruned, max_batch_size=4, max_wait_ms=10, num_workers=3
         ) as server:
             futures = [server.submit(h, r, k=3) for h, r in test_queries * 4]
             results = [f.result(timeout=30) for f in futures]
