@@ -7,7 +7,9 @@ experiment's wall clock once training was vectorized (PR 3).  This
 microbenchmark evaluates the same agent both ways, verifies the two paths
 return byte-identical metric dictionaries (the parity guarantee of
 ``tests/core/test_evaluator.py``), and asserts the vectorized path is at
-least twice as fast for both entity metrics and relation MAP.
+least twice as fast for both entity metrics and relation MAP.  The evaluator
+takes the engine whenever ``BatchBeamSearch.supports`` accepts the agent, so
+the scalar reference run patches that capability check to refuse.
 
 The measured speedups are headline numbers guarded by the
 benchmark-regression CI step (``benchmarks/baseline.json``).
@@ -31,13 +33,14 @@ from repro.core.model import MMKGRAgent
 from repro.features.extraction import FeatureStore
 from repro.kg.datasets import build_named_dataset
 from repro.rl.environment import MKGEnvironment
+from repro.serve.engine import BatchBeamSearch
 
 ENTITY_QUERY_COUNT = 64
 RELATION_TRIPLE_COUNT = 12
 MIN_SPEEDUP = 2.0
 
 
-def test_vectorized_evaluation_beats_scalar_loop(benchmark):
+def test_vectorized_evaluation_beats_scalar_loop(benchmark, monkeypatch):
     preset = bench_preset("eval-vectorized")
     dataset = build_named_dataset(WN9, scale=preset.dataset_scale, seed=7)
     # Beam-search cost does not depend on how the weights were reached, so
@@ -60,17 +63,22 @@ def test_vectorized_evaluation_beats_scalar_loop(benchmark):
     relation_triples = triples[:RELATION_TRIPLE_COUNT]
 
     def evaluate_both(vectorized: bool):
-        config = EvaluationConfig(beam_width=6, vectorized=vectorized)
-        start = time.perf_counter()
-        entity = evaluate_entity_prediction(
-            agent, environment, entity_triples, filter_graph=dataset.graph, config=config
-        )
-        entity_s = time.perf_counter() - start
-        start = time.perf_counter()
-        relation = evaluate_relation_prediction(
-            agent, environment, relation_triples, config=config
-        )
-        relation_s = time.perf_counter() - start
+        config = EvaluationConfig(beam_width=6)
+        with monkeypatch.context() as patch:
+            if not vectorized:
+                patch.setattr(
+                    BatchBeamSearch, "supports", staticmethod(lambda agent: False)
+                )
+            start = time.perf_counter()
+            entity = evaluate_entity_prediction(
+                agent, environment, entity_triples, filter_graph=dataset.graph, config=config
+            )
+            entity_s = time.perf_counter() - start
+            start = time.perf_counter()
+            relation = evaluate_relation_prediction(
+                agent, environment, relation_triples, config=config
+            )
+            relation_s = time.perf_counter() - start
         return entity_s, relation_s, entity, relation
 
     # Best-of-2 per path so one scheduling hiccup cannot decide the outcome.

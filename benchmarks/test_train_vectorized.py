@@ -6,7 +6,9 @@ mini-batch with one lockstep batched fusion/policy/LSTM forward per step
 time.  This microbenchmark trains the same agent for one epoch both ways,
 verifies the two paths walk identical episodes (the seed-parity guarantee),
 and asserts the vectorized path is at least twice as fast at the paper-style
-batch size.
+batch size.  The trainer takes the engine whenever
+``BatchedRolloutEngine.supports`` accepts the agent, so the scalar reference
+run patches that capability check to refuse.
 
 The measured speedup is a headline number guarded by the benchmark-regression
 CI step (``benchmarks/baseline.json``).
@@ -23,6 +25,7 @@ from common import WN9, bench_preset, format_table
 from repro.core.model import MMKGRAgent
 from repro.features.extraction import FeatureStore
 from repro.kg.datasets import build_named_dataset
+from repro.rl.batched_rollout import BatchedRolloutEngine
 from repro.rl.environment import MKGEnvironment
 from repro.rl.reinforce import ReinforceConfig, ReinforceTrainer
 from repro.rl.rewards import ZeroOneReward
@@ -32,7 +35,7 @@ BATCH_SIZE = 32  # >= 16, the regime the acceptance bar targets
 MIN_SPEEDUP = 2.0
 
 
-def _trainer(dataset, features, preset, vectorized: bool) -> ReinforceTrainer:
+def _trainer(dataset, features, preset, vectorized: bool, monkeypatch) -> ReinforceTrainer:
     # Same model/optimizer seeds for both paths; only the rollout path differs.
     agent = MMKGRAgent(features, config=preset.model, rng=11)
     environment = MKGEnvironment(
@@ -40,13 +43,18 @@ def _trainer(dataset, features, preset, vectorized: bool) -> ReinforceTrainer:
         max_steps=preset.model.max_steps,
         max_actions=preset.model.max_actions,
     )
-    config = ReinforceConfig(
-        epochs=1, batch_size=BATCH_SIZE, learning_rate=3e-3, vectorized=vectorized
-    )
-    return ReinforceTrainer(agent, environment, ZeroOneReward(), config, rng=5)
+    config = ReinforceConfig(epochs=1, batch_size=BATCH_SIZE, learning_rate=3e-3)
+    with monkeypatch.context() as patch:
+        if not vectorized:
+            patch.setattr(
+                BatchedRolloutEngine, "supports", staticmethod(lambda agent: False)
+            )
+        trainer = ReinforceTrainer(agent, environment, ZeroOneReward(), config, rng=5)
+    assert trainer.vectorized is vectorized
+    return trainer
 
 
-def test_vectorized_training_beats_scalar_loop(benchmark):
+def test_vectorized_training_beats_scalar_loop(benchmark, monkeypatch):
     preset = bench_preset("train-vectorized")
     dataset = build_named_dataset(WN9, scale=preset.dataset_scale, seed=7)
     # The comparison isolates the REINFORCE loop, so skip TransE pre-training
@@ -62,7 +70,7 @@ def test_vectorized_training_beats_scalar_loop(benchmark):
     train = train[:QUERY_COUNT]
 
     def time_once(vectorized: bool):
-        trainer = _trainer(dataset, features, preset, vectorized)
+        trainer = _trainer(dataset, features, preset, vectorized, monkeypatch)
         start = time.perf_counter()
         history = trainer.fit(train)
         return time.perf_counter() - start, history
@@ -75,7 +83,7 @@ def test_vectorized_training_beats_scalar_loop(benchmark):
         (time_once(True) for _ in range(2)), key=lambda item: item[0]
     )
     benchmark.pedantic(
-        lambda: _trainer(dataset, features, preset, True).fit(train),
+        lambda: _trainer(dataset, features, preset, True, monkeypatch).fit(train),
         rounds=1,
         iterations=1,
     )

@@ -83,6 +83,8 @@ def main() -> None:
         print(f"aliases: {registry.aliases('mmkgr')}")
 
         # --- serve: one daemon, resolved from the registry ---------------
+        # ServeConfig is the server's whole shape: batching, workers, and
+        # the canary-routing seed all go through config=.
         server = ReasoningServer(
             registry=registry,
             default_model="mmkgr@prod",

@@ -20,7 +20,7 @@ Typical usage — train once, query many times::
     for prediction in reasoner.query("wn9-img-txt/entity_00001", "base_rel_000", k=5):
         print(prediction.entity_name, prediction.score, prediction.render_path())
 
-    # Serving traffic: one vectorized beam search across the whole batch.
+    # Serving traffic: one lockstep beam search across the whole batch.
     answers = reasoner.query_batch([(head, relation), ...], k=10)
 
     # Persist and restore without retraining.
@@ -36,9 +36,11 @@ Typical usage — train once, query many times::
     registry.promote("mmkgr", "prod", version.version)
     server = ReasoningServer(registry=registry, default_model="mmkgr@prod")
 
-Batch experiments (tables/figures of the paper) still run through
-:class:`MMKGRPipeline`, :func:`run_baseline`, and :class:`ExperimentRunner`,
-which now sit on top of the same reasoner protocol.
+Batch experiments (tables/figures of the paper) run through
+:class:`MMKGRPipeline`, :func:`~repro.baselines.fit_baseline` and
+:class:`ExperimentRunner`, which sit on top of the same reasoner protocol.
+Training and evaluation take the lockstep batched engines whenever they can
+drive the agent and the per-query loops otherwise; there is no switch.
 """
 
 from repro.core.ablations import AblationName, build_ablation_pipeline
@@ -84,7 +86,7 @@ from repro.serve import (
     load_reasoner,
 )
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Reasoner",

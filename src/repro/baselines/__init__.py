@@ -10,6 +10,10 @@ Each baseline is a faithful *algorithmic* reimplementation at the level the
 comparison requires (single-hop vs multi-hop, 0/1 reward vs shaped reward,
 rule-based vs embedding-based vs RL); see DESIGN.md for the exact
 approximations made for the components whose original code is unavailable.
+
+:func:`fit_baseline` trains a registered baseline by name and returns its
+queryable reasoner; :func:`result_from_reasoner` evaluates that reasoner into
+the metric bundle the experiment tables consume.
 """
 
 from repro.baselines.registry import (
@@ -20,7 +24,6 @@ from repro.baselines.registry import (
     fit_baseline,
     get_baseline,
     result_from_reasoner,
-    run_baseline,
 )
 from repro.baselines.mtrl import MTRLBaseline
 from repro.baselines.transae import TransAEBaseline
@@ -38,7 +41,6 @@ __all__ = [
     "fit_baseline",
     "get_baseline",
     "result_from_reasoner",
-    "run_baseline",
     "MTRLBaseline",
     "TransAEBaseline",
     "MinervaBaseline",

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.registry import FittableBaseline, register_baseline
+from repro.baselines.registry import register_baseline
 from repro.core.config import ExperimentPreset, fast_preset
 from repro.core.trainer import MMKGRPipeline
 from repro.serve.reasoner import Reasoner
@@ -76,7 +76,7 @@ def _fire_preset(preset: ExperimentPreset) -> ExperimentPreset:
 
 
 @register_baseline
-class FIREBaseline(FittableBaseline):
+class FIREBaseline:
     """Structure-only RL with shaped destination reward and pruned search."""
 
     name = "FIRE"

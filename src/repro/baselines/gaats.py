@@ -19,7 +19,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.baselines.registry import FittableBaseline, register_baseline
+from repro.baselines.registry import register_baseline
 from repro.core.config import ExperimentPreset, fast_preset
 from repro.embeddings.base import KGEmbeddingModel
 from repro.embeddings.trainer import EmbeddingTrainer
@@ -105,7 +105,7 @@ class AttenuatedAttentionModel(KGEmbeddingModel):
 
 
 @register_baseline
-class GAATsBaseline(FittableBaseline):
+class GAATsBaseline:
     """Graph attenuated attention baseline (non-RL, structure-only)."""
 
     name = "GAATs"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.baselines.registry import FittableBaseline, register_baseline
+from repro.baselines.registry import register_baseline
 from repro.core.config import ExperimentPreset, fast_preset
 from repro.core.trainer import MMKGRPipeline
 from repro.features.extraction import ModalityConfig
@@ -33,7 +33,7 @@ def _structure_only_preset(preset: ExperimentPreset) -> ExperimentPreset:
 
 
 @register_baseline
-class MinervaBaseline(FittableBaseline):
+class MinervaBaseline:
     """Structure-only REINFORCE walker with the sparse 0/1 terminal reward."""
 
     name = "MINERVA"

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.baselines.registry import FittableBaseline, register_baseline
+from repro.baselines.registry import register_baseline
 from repro.core.config import ExperimentPreset, fast_preset
 from repro.embeddings.base import KGEmbeddingModel
 from repro.embeddings.trainer import EmbeddingTrainer
@@ -183,7 +183,7 @@ def forward_relations(graph: KnowledgeGraph) -> List[int]:
 
 
 @register_baseline
-class MTRLBaseline(FittableBaseline):
+class MTRLBaseline:
     """Single-hop multi-modal translation baseline."""
 
     name = "MTRL"

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.baselines.mtrl import forward_relations
-from repro.baselines.registry import FittableBaseline, register_baseline
+from repro.baselines.registry import register_baseline
 from repro.core.config import ExperimentPreset, fast_preset
 from repro.kg.datasets import MKGDataset
 from repro.kg.graph import KnowledgeGraph, Triple
@@ -160,7 +160,7 @@ class RuleReasoner:
 
 
 @register_baseline
-class NeuralLPBaseline(FittableBaseline):
+class NeuralLPBaseline:
     """Rule-mining multi-hop baseline (no RL, no multi-modal features)."""
 
     name = "NeuralLP"

@@ -4,9 +4,9 @@ Every baseline implements :class:`BaselineRunner`: ``fit`` trains the model
 on a dataset and returns a *queryable* reasoner (the
 :class:`~repro.serve.protocol.ReasonerProtocol` contract shared with MMKGR),
 so callers can keep the trained model, answer ``(head, relation, ?)``
-queries, and persist it.  :func:`run_baseline` remains as a thin shim that
-fits a baseline and immediately evaluates it into the metric dictionaries
-the experiment tables consume.
+queries, and persist it.  :func:`fit_baseline` trains a registered baseline
+by name and :func:`result_from_reasoner` evaluates the trained model into
+the metric dictionaries the experiment tables consume.
 """
 
 from __future__ import annotations
@@ -50,43 +50,6 @@ class BaselineRunner(Protocol):
     ) -> ReasonerProtocol:
         """Train on ``dataset`` and return the queryable trained model."""
         ...
-
-    def run(
-        self,
-        dataset: MKGDataset,
-        preset: Optional[ExperimentPreset] = None,
-        evaluate_relations: bool = False,
-        rng: SeedLike = None,
-    ) -> "BaselineResult":
-        """Legacy shim: fit, evaluate, and report only the metric bundle."""
-        ...
-
-
-class FittableBaseline:
-    """Base class giving every baseline the legacy ``run`` shim over ``fit``."""
-
-    name = ""
-
-    def fit(
-        self,
-        dataset: MKGDataset,
-        preset: Optional[ExperimentPreset] = None,
-        rng: SeedLike = None,
-    ) -> ReasonerProtocol:
-        raise NotImplementedError
-
-    def run(
-        self,
-        dataset: MKGDataset,
-        preset: Optional[ExperimentPreset] = None,
-        evaluate_relations: bool = False,
-        rng: SeedLike = None,
-    ) -> "BaselineResult":
-        preset = preset or fast_preset()
-        reasoner = self.fit(dataset, preset=preset, rng=rng)
-        return result_from_reasoner(
-            reasoner, dataset, preset, evaluate_relations=evaluate_relations, rng=rng
-        )
 
 
 BASELINE_REGISTRY: Dict[str, Type] = {}
@@ -158,20 +121,3 @@ def result_from_reasoner(
         extras=dict(getattr(reasoner, "extras", {}) or {}),
     )
 
-
-def run_baseline(
-    name: str,
-    dataset: MKGDataset,
-    preset: Optional[ExperimentPreset] = None,
-    evaluate_relations: bool = False,
-    rng: SeedLike = None,
-) -> BaselineResult:
-    """Thin shim over :func:`fit_baseline`: train, evaluate, report metrics.
-
-    The trained model itself is discarded; callers that want to keep it (to
-    answer queries or to reuse it across tables) should call
-    :func:`fit_baseline` and evaluate through the reasoner protocol.
-    """
-    return get_baseline(name).run(
-        dataset, preset=preset, evaluate_relations=evaluate_relations, rng=rng
-    )

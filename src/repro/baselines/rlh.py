@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.registry import FittableBaseline, register_baseline
+from repro.baselines.registry import register_baseline
 from repro.core.config import ExperimentPreset, fast_preset
 from repro.core.model import MMKGRAgent
 from repro.core.trainer import MMKGRPipeline
@@ -73,7 +73,7 @@ def _rlh_preset(preset: ExperimentPreset) -> ExperimentPreset:
 
 
 @register_baseline
-class RLHBaseline(FittableBaseline):
+class RLHBaseline:
     """Hierarchical structure-only RL baseline (the paper's strongest baseline)."""
 
     name = "RLH"

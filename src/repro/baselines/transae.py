@@ -22,7 +22,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.baselines.registry import FittableBaseline, register_baseline
+from repro.baselines.registry import register_baseline
 from repro.core.config import ExperimentPreset, fast_preset
 from repro.embeddings.base import KGEmbeddingModel
 from repro.embeddings.trainer import EmbeddingTrainer
@@ -155,7 +155,7 @@ class TransAE(KGEmbeddingModel):
 
 
 @register_baseline
-class TransAEBaseline(FittableBaseline):
+class TransAEBaseline:
     """Single-hop multi-modal autoencoder baseline."""
 
     name = "TransAE"

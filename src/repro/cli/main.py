@@ -7,12 +7,15 @@ import json
 import sys
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import IO, Optional, Sequence
 
 from repro.analysis.export import save_metrics_csv
-from repro.baselines.registry import available_baselines, run_baseline
+from repro.baselines.registry import (
+    available_baselines,
+    fit_baseline,
+    result_from_reasoner,
+)
 from repro.core.ablations import AblationName, build_ablation_pipeline
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.core.config import ExperimentPreset, fast_preset, paper_preset
@@ -91,15 +94,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = build_named_dataset(args.dataset, scale=args.scale, seed=args.seed)
     ablation = AblationName(args.ablation)
     pipeline = build_ablation_pipeline(dataset, ablation, preset=preset, rng=args.seed)
-    result = pipeline.run(
-        evaluate_relations=args.relations,
-        vectorized=False if args.scalar_rollouts else None,
-        # Runtime-only, like --scalar-rollouts: a checkpoint written below
-        # must not persist the debug flag into its preset.
-        evaluation=(
-            replace(preset.evaluation, vectorized=False) if args.scalar_eval else None
-        ),
-    )
+    result = pipeline.run(evaluate_relations=args.relations)
     _print_metrics(f"{ablation.value} on {args.dataset} — entity link prediction", result.entity_metrics)
     if args.relations:
         _print_metrics("relation link prediction (MAP)", result.relation_metrics)
@@ -111,10 +106,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     pipeline = load_checkpoint(args.checkpoint)
-    config = pipeline.preset.evaluation
-    if args.scalar_eval:
-        config = replace(config, vectorized=False)
-    metrics = pipeline.evaluate(config=config)
+    metrics = pipeline.evaluate()
     _print_metrics("entity link prediction", metrics)
     if args.csv:
         save_metrics_csv({"checkpoint": metrics}, args.csv, label="model")
@@ -629,17 +621,15 @@ def cmd_models_show(args: argparse.Namespace) -> int:
 
 def cmd_baselines(args: argparse.Namespace) -> int:
     preset = _resolve_preset(args)
-    if args.scalar_eval:
-        # Nothing is persisted here, so overriding the preset copy is safe.
-        preset = preset.with_overrides(
-            evaluation=replace(preset.evaluation, vectorized=False)
-        )
     dataset = build_named_dataset(args.dataset, scale=args.scale, seed=args.seed)
     names = args.models.split(",") if args.models else available_baselines()
     results = {}
     for name in names:
         name = name.strip()
-        results[name] = run_baseline(name, dataset, preset=preset, rng=args.seed).entity_metrics
+        reasoner = fit_baseline(name, dataset, preset=preset, rng=args.seed)
+        results[name] = result_from_reasoner(
+            reasoner, dataset, preset, rng=args.seed
+        ).entity_metrics
     metrics = ("mrr", "hits@1", "hits@5", "hits@10")
     rows = [[name, *[values.get(m) for m in metrics]] for name, values in results.items()]
     print(format_table(["model", *metrics], rows, title=f"baselines on {args.dataset}"))
@@ -655,15 +645,6 @@ def _add_common_dataset_arguments(parser: argparse.ArgumentParser) -> None:
         "--scale", type=float, default=0.5, help="dataset scale factor (default 0.5)"
     )
     parser.add_argument("--seed", type=int, default=7, help="random seed (default 7)")
-
-
-def _add_scalar_eval_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scalar-eval",
-        action="store_true",
-        help="run evaluation beam searches one query at a time instead of the "
-        "vectorized lockstep engine (slower; for debugging/comparison)",
-    )
 
 
 def _add_preset_arguments(parser: argparse.ArgumentParser) -> None:
@@ -757,13 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     train.add_argument("--relations", action="store_true", help="also evaluate relation MAP")
     train.add_argument("--output", type=str, default=None, help="checkpoint directory to write")
-    train.add_argument(
-        "--scalar-rollouts",
-        action="store_true",
-        help="sample REINFORCE episodes one query at a time instead of the "
-        "vectorized lockstep engine (slower; for debugging/comparison)",
-    )
-    _add_scalar_eval_argument(train)
     _add_common_dataset_arguments(train)
     _add_preset_arguments(train)
     train.set_defaults(handler=cmd_train)
@@ -772,7 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = subparsers.add_parser("evaluate", help="evaluate a checkpoint")
     evaluate.add_argument("--checkpoint", required=True)
     evaluate.add_argument("--csv", type=str, default=None, help="write metrics to this CSV file")
-    _add_scalar_eval_argument(evaluate)
     evaluate.set_defaults(handler=cmd_evaluate)
 
     # query -----------------------------------------------------------------
@@ -966,7 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated baseline names (default MTRL,MINERVA,RLH; empty = all)",
     )
     baselines.add_argument("--csv", type=str, default=None, help="write metrics to this CSV file")
-    _add_scalar_eval_argument(baselines)
     _add_common_dataset_arguments(baselines)
     _add_preset_arguments(baselines)
     baselines.set_defaults(handler=cmd_baselines)

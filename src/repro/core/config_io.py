@@ -40,12 +40,22 @@ def preset_to_dict(preset: ExperimentPreset) -> Dict[str, object]:
     return payload
 
 
+# Sections whose retired ``vectorized`` engine toggle (always ``true`` in the
+# presets written before 2.0) is dropped on load, so old checkpoints and
+# registry versions still open.
+_RETIRED_ENGINE_TOGGLE_SECTIONS = ("reinforce", "imitation", "evaluation")
+
+
 def preset_from_dict(payload: Dict[str, object]) -> ExperimentPreset:
     """Rebuild an :class:`ExperimentPreset` from :func:`preset_to_dict` output."""
     data = dict(payload)
+    for section in _RETIRED_ENGINE_TOGGLE_SECTIONS:
+        data[section] = {
+            key: value for key, value in data[section].items() if key != "vectorized"
+        }
     model = dict(data.pop("model"))
     model["fusion_variant"] = FusionVariant(model.get("fusion_variant", "full"))
-    evaluation = dict(data.pop("evaluation"))
+    evaluation = data.pop("evaluation")
     evaluation["hits_at"] = tuple(evaluation.get("hits_at", (1, 5, 10)))
     return ExperimentPreset(
         name=data["name"],

@@ -13,13 +13,14 @@
 
 All three protocols consume plain :class:`~repro.rl.rollout.BeamSearchResult`
 objects and draw them from :func:`beam_search_results`, which walks every
-query of a protocol in lockstep through the vectorized
-:class:`~repro.serve.engine.BatchBeamSearch` when the agent supports it
-(``EvaluationConfig.vectorized``, the default) and falls back to one scalar
-:func:`~repro.rl.rollout.beam_search` per query otherwise.  Relation MAP
-flattens its (triple x candidate relation) grid into one large query batch,
-which is what removes evaluation from the critical path of every experiment:
-the scalar protocol ran one beam search per *pair*.  Both paths produce
+query of a protocol in lockstep through
+:class:`~repro.serve.engine.BatchBeamSearch` when
+:meth:`~repro.serve.engine.BatchBeamSearch.supports` says it can drive the
+agent, and runs one :func:`~repro.rl.rollout.beam_search` per query
+otherwise.  Relation MAP flattens its (triple x candidate relation) grid
+into one large query batch, which is what removes evaluation from the
+critical path of every experiment: the scalar protocol ran one beam search
+per *pair*.  Both paths produce
 byte-identical metric dictionaries under the same seed — rankings break
 score ties deterministically by ascending id, never by traversal order.
 """
@@ -48,17 +49,17 @@ def beam_search_results(
 ) -> List[BeamSearchResult]:
     """Beam-search every query, batched in lockstep when the agent allows it.
 
-    The shared beam-result provider of every evaluation protocol: with
-    ``config.vectorized`` (the default) and an agent the serving engine can
-    drive, queries run through :class:`~repro.serve.engine.BatchBeamSearch`
-    in chunks of ``config.batch_size``; otherwise — protocol-only agents, or
-    ``vectorized=False`` — each query runs one scalar
+    The shared beam-result provider of every evaluation protocol: when the
+    serving engine can drive the agent, queries run through
+    :class:`~repro.serve.engine.BatchBeamSearch` in chunks of
+    ``config.batch_size``; otherwise — protocol-only agents without the
+    stock episode-state contract — each query runs one
     :func:`~repro.rl.rollout.beam_search`.  Both paths return one
     :class:`~repro.rl.rollout.BeamSearchResult` per query, in query order.
 
     ``cache`` optionally reuses a warm
     :class:`~repro.serve.cache.ActionSpaceCache` (e.g. a serving reasoner's)
-    on the vectorized path.
+    on the engine path.
     """
     config = config or EvaluationConfig()
     queries = list(queries)
@@ -68,7 +69,7 @@ def beam_search_results(
     # would cycle back through repro.core's package initialisation.
     from repro.serve.engine import BatchBeamSearch
 
-    if config.vectorized and BatchBeamSearch.supports(agent):
+    if BatchBeamSearch.supports(agent):
         engine = BatchBeamSearch(
             agent, environment, cache=cache, beam_width=config.beam_width
         )
@@ -233,7 +234,7 @@ def _action_cache_for(agent, environment, config):
     """A fresh action-space cache, or ``None`` when no engine will use one."""
     from repro.serve.engine import BatchBeamSearch
 
-    if not (config.vectorized and BatchBeamSearch.supports(agent)):
+    if not BatchBeamSearch.supports(agent):
         return None
     return BatchBeamSearch.build_cache(agent, environment)
 

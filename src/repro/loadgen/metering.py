@@ -9,10 +9,11 @@ latency, and the queue-wait / batch-wait / compute breakdown.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.loadgen.driver import DriveResult
 from repro.loadgen.workload import WorkloadPlan
+from repro.utils.metrics import percentile
 
 __all__ = [
     "LATENCY_FRACTIONS",
@@ -23,18 +24,6 @@ __all__ = [
 
 # The report's latency curve fractions: p50, p99, p99.9.
 LATENCY_FRACTIONS = (("p50", 0.50), ("p99", 0.99), ("p99.9", 0.999))
-
-
-def percentile(sample: Sequence[float], fraction: float) -> float:
-    """Linear-interpolation percentile (NumPy's default method); 0.0 if empty."""
-    if not sample:
-        return 0.0
-    ordered = sorted(sample)
-    position = fraction * (len(ordered) - 1)
-    lower = int(position)
-    upper = min(lower + 1, len(ordered) - 1)
-    weight = position - lower
-    return ordered[lower] + (ordered[upper] - ordered[lower]) * weight
 
 
 def stage_breakdown_ms(stage_samples: Dict[str, List[float]]) -> Dict[str, dict]:

@@ -42,9 +42,6 @@ class ImitationConfig:
     grad_clip: float = 5.0
     max_demonstrations: Optional[int] = None
     seed: int = 23
-    # Teacher-force whole mini-batches through the lockstep BatchedRolloutEngine
-    # when the agent supports it; False forces the per-demonstration loop.
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -112,7 +109,7 @@ class ImitationTrainer:
         self.rng = new_rng(self.config.seed if rng is None else rng)
         self.optimizer = Adam(agent.parameters(), lr=self.config.learning_rate)
         self._engine: Optional[BatchedRolloutEngine] = None
-        if self.config.vectorized and BatchedRolloutEngine.supports(agent):
+        if BatchedRolloutEngine.supports(agent):
             self._engine = BatchedRolloutEngine(agent, environment)
 
     @property

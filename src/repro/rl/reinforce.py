@@ -9,13 +9,13 @@ with a moving-average baseline subtracted from the reward to reduce variance
 (a standard addition that does not change the expectation of the gradient).
 
 Episode sampling runs through :class:`repro.rl.batched_rollout.BatchedRolloutEngine`
-by default (``ReinforceConfig.vectorized``), which rolls out the whole
-mini-batch in lockstep with batched fusion/policy/LSTM forwards.  Agents the
-engine cannot batch (custom ``action_log_probs`` or fuser — e.g. the
-hierarchical RLH baseline) automatically fall back to the scalar
-``sample_episode`` loop, as does ``vectorized=False``.  Both paths draw each
-episode from its own child RNG stream spawned in episode order from the
-trainer's generator, so they produce identical episodes under the same seed.
+whenever :meth:`BatchedRolloutEngine.supports` says it can drive the agent: the
+whole mini-batch rolls out in lockstep with batched fusion/policy/LSTM
+forwards.  Agents the engine cannot batch (custom ``action_log_probs`` or
+fuser — e.g. the hierarchical RLH baseline) use the per-query
+``sample_episode`` loop.  Both paths draw each episode from its own child RNG
+stream spawned in episode order from the trainer's generator, so they produce
+identical episodes under the same seed.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ class ReinforceConfig:
     entropy_weight: float = 0.0
     grad_clip: float = 5.0
     seed: int = 11
-    # Sample each mini-batch with the lockstep BatchedRolloutEngine when the
-    # agent supports it; False forces the scalar per-query loop.
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -100,7 +97,7 @@ class ReinforceTrainer:
         self.optimizer = Adam(agent.parameters(), lr=self.config.learning_rate)
         self._baseline = 0.0
         self._engine: Optional[BatchedRolloutEngine] = None
-        if self.config.vectorized and BatchedRolloutEngine.supports(agent):
+        if BatchedRolloutEngine.supports(agent):
             self._engine = BatchedRolloutEngine(agent, environment)
 
     @property

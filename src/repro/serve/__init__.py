@@ -1,9 +1,8 @@
 """Serving layer: train once, query many times.
 
-The experiment-oriented entry points (:class:`~repro.core.trainer.
-MMKGRPipeline`, :func:`~repro.baselines.registry.run_baseline`) fuse training
-and evaluation into one call and discard the trained model.  This package
-introduces the query/serving API the reproduction's north star needs:
+The experiment-oriented entry point (:meth:`~repro.core.trainer.
+MMKGRPipeline.run`) fuses training and evaluation into one call.  This
+package is the query/serving API that keeps the trained model:
 
 * :class:`ReasonerProtocol` — the ``fit`` / ``query`` / ``query_batch`` /
   ``save`` contract every reasoner implements;
@@ -40,9 +39,11 @@ and ``healthz_dict()`` turns ``GET /healthz`` into a real readiness probe:
 per-model readiness, 503 the moment a drain starts.
 
 The whole deployment shape — including the **execution backend** — lives in
-one frozen :class:`ServeConfig`.  ``backend="threads"`` (default) runs
-reasoner replicas on worker threads; ``backend="processes"`` spawns OS worker
-processes that attach to the published model **arena** (a flattened,
+one frozen :class:`ServeConfig`, passed as ``ReasoningServer(...,
+config=ServeConfig(...))``; the server takes no other tuning kwargs.
+``backend="threads"`` (default) runs reasoner replicas on worker threads;
+``backend="processes"`` spawns OS worker processes that attach to the
+published model **arena** (a flattened,
 memory-mappable ``arena.npy`` written by ``ModelRegistry.publish``) zero-copy
 via :func:`open_arena`, escaping the GIL so aggregate QPS scales with cores
 (:class:`ProcessWorkerGroup`, with heartbeats, crash detection and respawn).
@@ -55,7 +56,7 @@ from repro.serve.arena import (
     write_arena,
 )
 from repro.serve.batcher import BatcherClosed, BatchRequest, DynamicBatcher, execute_batch
-from repro.serve.cache import ActionSpaceCache, LRUCache
+from repro.serve.cache import ActionSpaceCache
 from repro.serve.config import BACKENDS, ServeConfig
 from repro.serve.engine import BatchBeamSearch
 from repro.serve.procpool import ProcessWorkerGroup, WorkerCrashError
@@ -87,7 +88,6 @@ __all__ = [
     "CanaryRoute",
     "DynamicBatcher",
     "EmbeddingReasoner",
-    "LRUCache",
     "ModelPool",
     "ModelRegistry",
     "ModelVersion",

@@ -17,13 +17,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.rl.environment import EpisodeState, MKGEnvironment, Query
-
-# The generic structure moved to repro.utils.lru so the CSR graph backend can
-# bound its adjacency-row materialization with the same cache; re-exported
-# here because serving code has always imported it from this module.
 from repro.utils.lru import LRUCache
 
-__all__ = ["ActionSpaceCache", "LRUCache"]
+__all__ = ["ActionSpaceCache"]
 
 
 class ActionSpaceCache:

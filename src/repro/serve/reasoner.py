@@ -323,8 +323,8 @@ class Reasoner:
         """Entity link-prediction metrics via the shared evaluation protocol.
 
         Evaluation runs through the same lockstep batched beam search as
-        serving (``EvaluationConfig.vectorized``) and reuses this reasoner's
-        warm action-space cache.
+        serving (whenever the engine can drive the agent) and reuses this
+        reasoner's warm action-space cache.
         """
         pipeline = self._require_fitted()
         return evaluate_entity_prediction(

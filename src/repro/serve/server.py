@@ -36,13 +36,12 @@ import shutil
 import tempfile
 import threading
 import time
-import warnings
 from collections import defaultdict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Deque, Dict, IO, List, Optional, Sequence, Union
+from typing import Any, Deque, Dict, IO, List, Optional, Union
 from urllib.parse import unquote
 
 from repro.serve.arena import write_arena
@@ -50,6 +49,7 @@ from repro.serve.batcher import BatcherClosed, BatchRequest, DynamicBatcher, exe
 from repro.serve.config import ServeConfig
 from repro.serve.protocol import EntityLike, Prediction, RelationLike
 from repro.serve.registry import ModelRegistry, ModelVersion
+from repro.utils.metrics import percentile
 from repro.utils.rng import new_rng
 
 __all__ = [
@@ -77,27 +77,6 @@ class QueryRequest:
     head: EntityLike
     relation: RelationLike
     k: int = 10
-
-
-def _percentile(sample: Sequence[float], fraction: float) -> float:
-    """Linear-interpolation percentile over ``sample`` (NumPy's default method).
-
-    The previous nearest-rank variant used ``int(round(...))``, and Python's
-    banker's rounding made small-window percentiles jump between neighbouring
-    samples: the 2-sample p50 snapped to the *lower* sample
-    (``round(0.5) == 0``) while the 4-sample p50 snapped to the upper-middle
-    one (``round(1.5) == 2``).  Interpolating between the two straddling
-    order statistics keeps every window size smooth: one sample returns
-    itself, two samples return their ``fraction``-weighted blend.
-    """
-    if not sample:
-        return 0.0
-    ordered = sorted(sample)
-    position = fraction * (len(ordered) - 1)
-    lower = int(position)
-    upper = min(lower + 1, len(ordered) - 1)
-    weight = position - lower
-    return ordered[lower] + (ordered[upper] - ordered[lower]) * weight
 
 
 # The per-stage components of one request's latency, in dispatch order:
@@ -163,11 +142,11 @@ class ServerStats:
 
     def latency_percentile_ms(self, fraction: float) -> float:
         with self._lock:
-            return 1000.0 * _percentile(list(self._latencies), fraction)
+            return 1000.0 * percentile(list(self._latencies), fraction)
 
     def stage_percentile_ms(self, stage: str, fraction: float) -> float:
         with self._lock:
-            return 1000.0 * _percentile(list(self._stages[stage]), fraction)
+            return 1000.0 * percentile(list(self._stages[stage]), fraction)
 
     def stage_samples(self) -> Dict[str, List[float]]:
         """A snapshot of the per-stage latency windows (seconds, oldest first)."""
@@ -192,8 +171,8 @@ class ServerStats:
         for stage, samples in stages.items():
             stage_block[f"{stage}_ms"] = {
                 "mean": 1000.0 * (sum(samples) / len(samples)) if samples else 0.0,
-                "p50": 1000.0 * _percentile(samples, 0.50),
-                "p99": 1000.0 * _percentile(samples, 0.99),
+                "p50": 1000.0 * percentile(samples, 0.50),
+                "p99": 1000.0 * percentile(samples, 0.99),
             }
         return {
             "requests_total": requests_total,
@@ -524,28 +503,14 @@ class ReasoningServer:
     traffic between them (:meth:`route`).
     """
 
-    _UNSET = object()
-
     def __init__(
         self,
         reasoner=None,
         config: Optional[ServeConfig] = None,
         registry: Optional[Union[ModelRegistry, str]] = None,
         default_model: Optional[str] = None,
-        max_batch_size=_UNSET,
-        max_wait_ms=_UNSET,
-        num_workers=_UNSET,
-        default_k=_UNSET,
-        seed=_UNSET,
     ):
-        config = self._resolve_config(
-            config,
-            max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
-            num_workers=num_workers,
-            default_k=default_k,
-            seed=seed,
-        )
+        config = config if config is not None else ServeConfig()
         if registry is None and config.registry is not None:
             registry = config.registry
         if default_model is None:
@@ -569,33 +534,6 @@ class ReasoningServer:
             self.add_model(reasoner=reasoner, name=default_model)
         elif default_model is not None:
             self.add_model(default_model)
-
-    @classmethod
-    def _resolve_config(cls, config: Optional[ServeConfig], **legacy) -> ServeConfig:
-        """Merge the pre-:class:`ServeConfig` kwarg sprawl into one config.
-
-        The old constructor kwargs still work (shimmed, with a
-        :class:`DeprecationWarning`); mixing them with an explicit
-        ``config=`` is ambiguous and rejected.
-        """
-        supplied = {key: value for key, value in legacy.items() if value is not cls._UNSET}
-        if not supplied:
-            return config if config is not None else ServeConfig()
-        if config is not None:
-            raise ValueError(
-                f"pass either config= or the legacy kwargs {sorted(supplied)}, not both"
-            )
-        warnings.warn(
-            "ReasoningServer(max_batch_size=..., max_wait_ms=..., num_workers=..., "
-            "default_k=..., seed=...) is deprecated; pass config=ServeConfig(...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        supplied = {
-            ("workers" if key == "num_workers" else key): value
-            for key, value in supplied.items()
-        }
-        return ServeConfig(**supplied)
 
     # --------------------------------------------------------------- tenancy
     def add_model(

@@ -119,6 +119,25 @@ def rank_of_target(scores: np.ndarray, target_index: int) -> int:
     return better + equal + 1
 
 
+def percentile(sample: Sequence[float], fraction: float) -> float:
+    """Linear-interpolation percentile over ``sample`` (NumPy's default method).
+
+    Interpolating between the two straddling order statistics keeps small
+    windows smooth, where a nearest-rank percentile with Python's banker's
+    rounding would jump between neighbouring samples: one sample returns
+    itself, two samples return their ``fraction``-weighted blend, and an
+    empty sample returns 0.0.
+    """
+    if not sample:
+        return 0.0
+    ordered = sorted(sample)
+    position = fraction * (len(ordered) - 1)
+    lower = int(position)
+    upper = min(lower + 1, len(ordered) - 1)
+    weight = position - lower
+    return ordered[lower] + (ordered[upper] - ordered[lower]) * weight
+
+
 def summarize_results(results: Mapping[str, RankingResult]) -> Dict[str, Dict[str, float]]:
     """Summarise a ``{model name: RankingResult}`` mapping into metric dicts."""
     return {name: result.summary() for name, result in results.items()}

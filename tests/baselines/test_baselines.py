@@ -8,8 +8,9 @@ import pytest
 from repro.baselines import (
     BASELINE_REGISTRY,
     available_baselines,
+    fit_baseline,
     get_baseline,
-    run_baseline,
+    result_from_reasoner,
 )
 from repro.baselines.mtrl import MultiModalTransE, forward_relations
 from repro.baselines.neurallp import RuleReasoner
@@ -137,13 +138,17 @@ class TestGAATsPropagation:
 @pytest.mark.parametrize("name", sorted(EXPECTED_BASELINES))
 def test_every_baseline_runs_end_to_end(name, tiny_dataset, tiny_preset):
     """Smoke test: each baseline trains and reports the standard metrics."""
-    result = run_baseline(name, tiny_dataset, preset=tiny_preset, rng=0)
+    reasoner = fit_baseline(name, tiny_dataset, preset=tiny_preset, rng=0)
+    result = result_from_reasoner(reasoner, tiny_dataset, tiny_preset, rng=0)
     assert result.name == name
     assert set(result.entity_metrics) == {"mrr", "hits@1", "hits@5", "hits@10"}
     assert 0.0 <= result.entity_metrics["mrr"] <= 1.0
 
 
 def test_baseline_relation_map_evaluation(tiny_dataset, tiny_preset):
-    result = run_baseline("MTRL", tiny_dataset, preset=tiny_preset, evaluate_relations=True, rng=0)
+    reasoner = fit_baseline("MTRL", tiny_dataset, preset=tiny_preset, rng=0)
+    result = result_from_reasoner(
+        reasoner, tiny_dataset, tiny_preset, evaluate_relations=True, rng=0
+    )
     assert "overall" in result.relation_metrics
     assert 0.0 <= result.relation_metrics["overall"] <= 1.0

@@ -5,7 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.registry import available_baselines, run_baseline
+from repro.baselines.registry import (
+    available_baselines,
+    fit_baseline,
+    result_from_reasoner,
+)
 from repro.baselines.transae import TransAE, TransAEBaseline
 from repro.kg.sampling import NegativeSampler
 
@@ -80,15 +84,17 @@ class TestTransAEBaseline:
         assert "TransAE" in available_baselines()
 
     def test_run_reports_metrics(self, tiny_dataset, tiny_preset):
-        result = run_baseline("TransAE", tiny_dataset, preset=tiny_preset, rng=0)
+        reasoner = fit_baseline("TransAE", tiny_dataset, preset=tiny_preset, rng=0)
+        result = result_from_reasoner(reasoner, tiny_dataset, tiny_preset, rng=0)
         assert result.name == "TransAE"
         assert set(result.entity_metrics) == {"mrr", "hits@1", "hits@5", "hits@10"}
         assert 0.0 <= result.entity_metrics["mrr"] <= 1.0
         assert "reconstruction_error" in result.extras
 
     def test_relation_metrics_on_request(self, tiny_dataset, tiny_preset):
-        result = TransAEBaseline().run(
-            tiny_dataset, preset=tiny_preset, evaluate_relations=True, rng=0
+        reasoner = TransAEBaseline().fit(tiny_dataset, preset=tiny_preset, rng=0)
+        result = result_from_reasoner(
+            reasoner, tiny_dataset, tiny_preset, evaluate_relations=True, rng=0
         )
         assert "overall" in result.relation_metrics
         assert 0.0 <= result.relation_metrics["overall"] <= 1.0

@@ -15,6 +15,7 @@ import pytest
 from repro.cli.main import build_parser, main
 from repro.core.checkpoint import checkpoint_exists
 from repro.core.config_io import save_preset
+from repro.serve.engine import BatchBeamSearch
 
 
 class _InterruptingStdin:
@@ -77,15 +78,14 @@ class TestParser:
         assert args.dataset == "wn9-img-txt"
         assert args.ablation == "MMKGR"
         assert args.preset == "fast"
-        assert not args.scalar_eval
 
-    def test_scalar_eval_flag_parses_everywhere(self):
-        parser = build_parser()
-        assert parser.parse_args(["train", "--scalar-eval"]).scalar_eval
-        assert parser.parse_args(
-            ["evaluate", "--checkpoint", "ckpt", "--scalar-eval"]
-        ).scalar_eval
-        assert parser.parse_args(["baselines", "--scalar-eval"]).scalar_eval
+    @pytest.mark.parametrize("flag", ["--scalar-eval", "--scalar-rollouts"])
+    def test_retired_engine_flags_exit_2(self, flag, capsys):
+        # The engine is chosen by capability alone; the 1.x toggles are gone.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["train", flag])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve", "--checkpoint", "ckpt"])
@@ -175,13 +175,15 @@ class TestTrainEvaluateExplain:
         assert "entity link prediction" in captured
         assert csv_path.exists()
 
-    def test_evaluate_scalar_eval_matches_vectorized(self, trained_checkpoint, capsys):
-        # The CLI toggle selects the scalar loop; metrics must not move.
+    def test_evaluate_scalar_eval_matches_vectorized(
+        self, trained_checkpoint, capsys, monkeypatch
+    ):
+        # The per-query reference loop (the engine's capability check patched
+        # to refuse) must print the same metrics as the lockstep engine.
         assert main(["evaluate", "--checkpoint", trained_checkpoint]) == 0
         vectorized = capsys.readouterr().out
-        assert (
-            main(["evaluate", "--checkpoint", trained_checkpoint, "--scalar-eval"]) == 0
-        )
+        monkeypatch.setattr(BatchBeamSearch, "supports", staticmethod(lambda agent: False))
+        assert main(["evaluate", "--checkpoint", trained_checkpoint]) == 0
         scalar = capsys.readouterr().out
         assert scalar == vectorized
 

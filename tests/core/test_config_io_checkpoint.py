@@ -29,6 +29,18 @@ from repro.features.extraction import ModalityConfig
 from repro.fusion.variants import FusionVariant
 from repro.kg.datasets import build_dataset
 
+# Presets written before 2.0 carry the retired ``vectorized`` engine toggle,
+# always ``true``, in these three sections.
+_RETIRED_TOGGLE_SECTIONS = ("reinforce", "imitation", "evaluation")
+
+
+def _with_retired_toggle(preset_payload: dict) -> dict:
+    """A parent-format preset dict: ``"vectorized": true`` in each section."""
+    payload = json.loads(json.dumps(preset_payload))
+    for section in _RETIRED_TOGGLE_SECTIONS:
+        payload[section]["vectorized"] = True
+    return payload
+
 
 class TestPresetSerialisation:
     @pytest.mark.parametrize("factory", [fast_preset, paper_preset])
@@ -56,6 +68,21 @@ class TestPresetSerialisation:
         preset = fast_preset()
         path = save_preset(preset, tmp_path / "preset.json")
         assert load_preset(path) == preset
+
+    @pytest.mark.parametrize("factory", [fast_preset, paper_preset])
+    def test_parent_format_preset_drops_retired_vectorized_key(self, factory, tmp_path):
+        preset = factory()
+        payload = _with_retired_toggle(preset_to_dict(preset))
+        assert preset_from_dict(payload) == preset
+        path = tmp_path / "preset.json"
+        path.write_text(json.dumps(payload))
+        assert load_preset(path) == preset
+
+    def test_other_unknown_keys_still_rejected(self):
+        payload = preset_to_dict(fast_preset())
+        payload["evaluation"]["vectorised"] = True
+        with pytest.raises(TypeError):
+            preset_from_dict(payload)
 
 
 class TestDatasetConfigSerialisation:
@@ -122,6 +149,18 @@ class TestCheckpoint:
         original_metrics = built_pipeline.evaluate(triples)
         restored_metrics = restored.evaluate(triples)
         assert original_metrics == pytest.approx(restored_metrics)
+
+    def test_parent_format_manifest_evaluates_identically(self, built_pipeline, tmp_path):
+        directory = save_checkpoint(built_pipeline, tmp_path / "ckpt")
+        triples = built_pipeline.dataset.splits.test[:5]
+        current_metrics = load_checkpoint(directory).evaluate(triples)
+        manifest_path = directory / "checkpoint.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["preset"] = _with_retired_toggle(manifest["preset"])
+        manifest_path.write_text(json.dumps(manifest))
+        restored = load_checkpoint(directory)
+        assert restored.preset == built_pipeline.preset
+        assert restored.evaluate(triples) == current_metrics
 
     def test_load_rejects_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):

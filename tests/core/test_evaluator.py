@@ -1,17 +1,17 @@
-"""Scalar-vs-vectorized evaluation parity and the ranking-determinism fixes.
+"""Engine-vs-reference evaluation parity and the ranking-determinism fixes.
 
-The vectorized evaluation engine must be an optimisation, not a protocol
-change: under the same seed, ``EvaluationConfig(vectorized=True)`` and
-``vectorized=False`` have to return byte-identical metric dictionaries for
-every protocol (entity MRR/Hits, relation MAP, hop distribution) — for MMKGR
+The lockstep evaluation engine must be an optimisation, not a protocol
+change: under the same seed, the engine and the per-query ``beam_search``
+reference loop have to return byte-identical metric dictionaries for every
+protocol (entity MRR/Hits, relation MAP, hop distribution) — for MMKGR
 (fast-path batched scoring), for a baseline the engine drives through
-per-branch slow-path scoring (RLH), and for protocol-only agents that fall
-back to the scalar loop entirely.
+per-branch slow-path scoring (RLH), and for protocol-only agents that take
+the per-query loop entirely.  The evaluator picks the engine whenever
+``BatchBeamSearch.supports`` accepts the agent, so the reference run patches
+that capability check (see :func:`_engine_and_reference`).
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,95 +38,105 @@ def trained_pipeline(request):
     return tiny_dataset, pipeline
 
 
-def _configs(beam_width: int = 4, **kwargs):
-    vectorized = EvaluationConfig(beam_width=beam_width, vectorized=True, **kwargs)
-    scalar = replace(vectorized, vectorized=False)
-    return vectorized, scalar
+def _config(beam_width: int = 4, **kwargs):
+    return EvaluationConfig(beam_width=beam_width, **kwargs)
+
+
+def _engine_and_reference(monkeypatch, evaluate):
+    """``evaluate()`` through the lockstep engine, then through the per-query
+    reference loop (the engine's capability check patched to refuse)."""
+    engine = evaluate()
+    with monkeypatch.context() as patch:
+        patch.setattr(BatchBeamSearch, "supports", staticmethod(lambda agent: False))
+        reference = evaluate()
+    return engine, reference
 
 
 class TestScalarVectorizedParity:
-    def test_entity_metrics_identical(self, trained_pipeline):
+    """The lockstep engine against the per-query reference loop."""
+
+    def test_entity_metrics_identical(self, trained_pipeline, monkeypatch):
         dataset, pipeline = trained_pipeline
-        vectorized, scalar = _configs()
-        results = [
-            evaluate_entity_prediction(
+        config = _config()
+        results = _engine_and_reference(
+            monkeypatch,
+            lambda: evaluate_entity_prediction(
                 pipeline.agent,
                 pipeline.environment,
                 dataset.splits.test,
                 filter_graph=dataset.graph,
                 config=config,
                 rng=7,
-            )
-            for config in (vectorized, scalar)
-        ]
+            ),
+        )
         assert results[0] == results[1]
 
-    def test_relation_metrics_identical(self, trained_pipeline):
+    def test_relation_metrics_identical(self, trained_pipeline, monkeypatch):
         dataset, pipeline = trained_pipeline
-        vectorized, scalar = _configs()
-        results = [
-            evaluate_relation_prediction(
+        config = _config()
+        results = _engine_and_reference(
+            monkeypatch,
+            lambda: evaluate_relation_prediction(
                 pipeline.agent,
                 pipeline.environment,
                 dataset.splits.test[:6],
                 config=config,
                 rng=7,
-            )
-            for config in (vectorized, scalar)
-        ]
+            ),
+        )
         assert results[0] == results[1]
         assert "overall" in results[0]
 
-    def test_hop_distribution_identical(self, trained_pipeline):
+    def test_hop_distribution_identical(self, trained_pipeline, monkeypatch):
         dataset, pipeline = trained_pipeline
-        vectorized, scalar = _configs()
-        results = [
-            hop_distribution(
+        config = _config()
+        results = _engine_and_reference(
+            monkeypatch,
+            lambda: hop_distribution(
                 pipeline.agent,
                 pipeline.environment,
                 dataset.splits.test,
                 filter_graph=dataset.graph,
                 config=config,
                 rng=7,
-            )
-            for config in (vectorized, scalar)
-        ]
+            ),
+        )
         assert results[0] == results[1]
 
-    def test_parity_survives_chunked_batches(self, trained_pipeline):
+    def test_parity_survives_chunked_batches(self, trained_pipeline, monkeypatch):
         # Chunking the lockstep engine must not change any ranking: a
         # batch_size smaller than the query count exercises the chunk loop.
         dataset, pipeline = trained_pipeline
-        vectorized, scalar = _configs(batch_size=3)
-        results = [
-            evaluate_entity_prediction(
+        config = _config(batch_size=3)
+        results = _engine_and_reference(
+            monkeypatch,
+            lambda: evaluate_entity_prediction(
                 pipeline.agent,
                 pipeline.environment,
                 dataset.splits.test,
                 filter_graph=dataset.graph,
                 config=config,
                 rng=7,
-            )
-            for config in (vectorized, scalar)
-        ]
+            ),
+        )
         assert results[0] == results[1]
 
-    def test_subsampling_draws_identical_queries(self, trained_pipeline):
+    def test_subsampling_draws_identical_queries(self, trained_pipeline, monkeypatch):
         # max_queries subsampling happens before the path split, so both
         # paths must evaluate the same subset under the same rng.
         dataset, pipeline = trained_pipeline
-        vectorized, scalar = _configs(max_queries=5)
-        results = [
-            evaluate_entity_prediction(
+        config = _config(max_queries=5)
+        results = _engine_and_reference(
+            monkeypatch,
+            lambda: evaluate_entity_prediction(
                 pipeline.agent,
                 pipeline.environment,
                 dataset.splits.test,
                 filter_graph=dataset.graph,
                 config=config,
                 rng=11,
-            )
-            for config in (vectorized, scalar)
-        ]
+            ),
+        )
         assert results[0] == results[1]
 
 
@@ -145,24 +155,24 @@ class TestBaselineParity:
         # through the agent — but it still advances in lockstep.
         assert BatchBeamSearch.supports(reasoner.pipeline.agent)
 
-    def test_rlh_entity_metrics_identical(self, rlh_reasoner):
+    def test_rlh_entity_metrics_identical(self, rlh_reasoner, monkeypatch):
         dataset, reasoner = rlh_reasoner
-        vectorized, scalar = _configs()
-        results = [
-            reasoner.entity_metrics(
+        config = _config()
+        results = _engine_and_reference(
+            monkeypatch,
+            lambda: reasoner.entity_metrics(
                 dataset.splits.test, filter_graph=dataset.graph, config=config, rng=7
-            )
-            for config in (vectorized, scalar)
-        ]
+            ),
+        )
         assert results[0] == results[1]
 
-    def test_rlh_relation_metrics_identical(self, rlh_reasoner):
+    def test_rlh_relation_metrics_identical(self, rlh_reasoner, monkeypatch):
         dataset, reasoner = rlh_reasoner
-        vectorized, scalar = _configs()
-        results = [
-            reasoner.relation_metrics(dataset.splits.test[:4], config=config, rng=7)
-            for config in (vectorized, scalar)
-        ]
+        config = _config()
+        results = _engine_and_reference(
+            monkeypatch,
+            lambda: reasoner.relation_metrics(dataset.splits.test[:4], config=config, rng=7),
+        )
         assert results[0] == results[1]
 
 
@@ -235,36 +245,35 @@ class TestScalarFallback:
     def test_engine_rejects_protocol_only_agent(self):
         assert not BatchBeamSearch.supports(_UniformAgent())
 
-    def test_vectorized_config_falls_back_to_scalar(self, trained_pipeline):
-        # A non-batchable agent must evaluate through the scalar loop even
-        # with vectorized=True — same metrics, no crash.
+    def test_vectorized_config_falls_back_to_scalar(self, trained_pipeline, monkeypatch):
+        # The engine refuses a protocol-only agent, so even unpatched the
+        # evaluator takes the per-query loop: same metrics, no crash.
         dataset, pipeline = trained_pipeline
         agent = _UniformAgent()
-        vectorized, scalar = _configs()
-        results = [
-            evaluate_entity_prediction(
+        config = _config()
+        results = _engine_and_reference(
+            monkeypatch,
+            lambda: evaluate_entity_prediction(
                 agent,
                 pipeline.environment,
                 dataset.splits.test[:6],
                 filter_graph=dataset.graph,
                 config=config,
                 rng=7,
-            )
-            for config in (vectorized, scalar)
-        ]
+            ),
+        )
         assert results[0] == results[1]
 
-    def test_beam_search_results_order_and_length(self, trained_pipeline):
+    def test_beam_search_results_order_and_length(self, trained_pipeline, monkeypatch):
         dataset, pipeline = trained_pipeline
         queries = [
             Query(t.head, t.relation, t.tail) for t in dataset.splits.test[:5]
         ]
-        vectorized, scalar = _configs()
-        fast = beam_search_results(
-            pipeline.agent, pipeline.environment, queries, vectorized
-        )
-        slow = beam_search_results(
-            pipeline.agent, pipeline.environment, queries, scalar
+        fast, slow = _engine_and_reference(
+            monkeypatch,
+            lambda: beam_search_results(
+                pipeline.agent, pipeline.environment, queries, _config()
+            ),
         )
         assert len(fast) == len(slow) == len(queries)
         for query, fast_result, slow_result in zip(queries, fast, slow):
@@ -290,13 +299,13 @@ class TestRelationRankingDeterminism:
         # ascending relation id regardless of how candidates are listed.
         dataset, pipeline = trained_pipeline
         candidates = list(range(min(6, dataset.graph.num_relations)))
-        vectorized, _ = _configs()
+        config = _config()
         forward = evaluate_relation_prediction(
             pipeline.agent,
             pipeline.environment,
             dataset.splits.test[:5],
             candidate_relations=candidates,
-            config=vectorized,
+            config=config,
             rng=7,
         )
         backward = evaluate_relation_prediction(
@@ -304,7 +313,7 @@ class TestRelationRankingDeterminism:
             pipeline.environment,
             dataset.splits.test[:5],
             candidate_relations=list(reversed(candidates)),
-            config=vectorized,
+            config=config,
             rng=7,
         )
         assert forward == backward

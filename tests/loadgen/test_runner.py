@@ -15,7 +15,7 @@ from repro.loadgen import (
     run_loadtest,
     run_plan,
 )
-from repro.serve import Reasoner, ReasoningServer
+from repro.serve import Reasoner, ReasoningServer, ServeConfig
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,10 @@ def queries(tiny_dataset):
 
 
 def drive(fitted_reasoner, plan):
-    server = ReasoningServer(fitted_reasoner, max_batch_size=8, max_wait_ms=2.0).start()
+    server = ReasoningServer(
+        fitted_reasoner,
+        config=ServeConfig(max_batch_size=8, max_wait_ms=2.0),
+    ).start()
     try:
         return run_plan(server, plan, timeout_s=30.0), server
     finally:

@@ -6,6 +6,10 @@ seed, ``BatchedRolloutEngine.sample_episodes`` and a loop of scalar
 rewards, same log-probabilities.  This pins down the RNG-ordering bug class
 where lockstep execution reorders draws across queries and silently changes
 every training run.
+
+The trainers take the engine whenever ``BatchedRolloutEngine.supports`` says
+it can drive the agent; the parity tests select the per-query reference loop
+by patching that capability check (see :func:`_build`).
 """
 
 from __future__ import annotations
@@ -149,27 +153,41 @@ class TestPerQueryTermination:
         assert len(lengths) > 1, "workload should mix early and full-length episodes"
 
 
+def _build(engine: bool, monkeypatch, build):
+    """``build()``, with the rollout engine available or, for the reference
+    loop, with its capability check patched to refuse every agent."""
+    if engine:
+        return build()
+    with monkeypatch.context() as patch:
+        patch.setattr(BatchedRolloutEngine, "supports", staticmethod(lambda agent: False))
+        return build()
+
+
 class TestTrainerIntegration:
-    def _trainer(self, setup, vectorized, agent=None):
+    def _trainer(self, setup, engine, monkeypatch, agent=None):
         dataset, features = setup
         if agent is None:
             agent = MMKGRAgent(features, config=_config(), rng=0)
         environment = MKGEnvironment(dataset.train_graph, max_steps=3, max_actions=16)
-        config = ReinforceConfig(
-            epochs=2, batch_size=16, learning_rate=1e-3, vectorized=vectorized
+        config = ReinforceConfig(epochs=2, batch_size=16, learning_rate=1e-3)
+        trainer = _build(
+            engine,
+            monkeypatch,
+            lambda: ReinforceTrainer(agent, environment, ZeroOneReward(), config, rng=0),
         )
-        return agent, ReinforceTrainer(agent, environment, ZeroOneReward(), config, rng=0)
+        return agent, trainer
 
-    def test_vectorized_flag_controls_engine(self, setup):
-        _, fast = self._trainer(setup, vectorized=True)
-        _, slow = self._trainer(setup, vectorized=False)
+    def test_vectorized_flag_controls_engine(self, setup, monkeypatch):
+        # The read-only ``vectorized`` flag reports the capability check.
+        _, fast = self._trainer(setup, True, monkeypatch)
+        _, slow = self._trainer(setup, False, monkeypatch)
         assert fast.vectorized
         assert not slow.vectorized
 
-    def test_both_paths_train_identically(self, setup):
+    def test_both_paths_train_identically(self, setup, monkeypatch):
         dataset, _ = setup
-        agent_fast, fast = self._trainer(setup, vectorized=True)
-        agent_slow, slow = self._trainer(setup, vectorized=False)
+        agent_fast, fast = self._trainer(setup, True, monkeypatch)
+        agent_slow, slow = self._trainer(setup, False, monkeypatch)
         history_fast = fast.fit(dataset.splits.train[:32])
         history_slow = slow.fit(dataset.splits.train[:32])
         np.testing.assert_allclose(
@@ -181,21 +199,22 @@ class TestTrainerIntegration:
         for fast_param, slow_param in zip(agent_fast.parameters(), agent_slow.parameters()):
             np.testing.assert_allclose(fast_param.data, slow_param.data, atol=1e-9)
 
-    def test_rollouts_per_query_expansion_matches(self, setup):
+    def test_rollouts_per_query_expansion_matches(self, setup, monkeypatch):
         dataset, features = setup
         agents = []
         histories = []
-        for vectorized in (True, False):
+        for engine in (True, False):
             agent = MMKGRAgent(features, config=_config(), rng=0)
             environment = MKGEnvironment(dataset.train_graph, max_steps=3, max_actions=16)
             config = ReinforceConfig(
-                epochs=1,
-                batch_size=8,
-                learning_rate=1e-3,
-                rollouts_per_query=2,
-                vectorized=vectorized,
+                epochs=1, batch_size=8, learning_rate=1e-3, rollouts_per_query=2
             )
-            trainer = ReinforceTrainer(agent, environment, ZeroOneReward(), config, rng=1)
+            trainer = _build(
+                engine,
+                monkeypatch,
+                lambda: ReinforceTrainer(agent, environment, ZeroOneReward(), config, rng=1),
+            )
+            assert trainer.vectorized is engine
             histories.append(trainer.fit(dataset.splits.train[:16]))
             agents.append(agent)
         np.testing.assert_allclose(
@@ -204,27 +223,23 @@ class TestTrainerIntegration:
         for fast_param, slow_param in zip(agents[0].parameters(), agents[1].parameters()):
             np.testing.assert_allclose(fast_param.data, slow_param.data, atol=1e-9)
 
-    def test_imitation_paths_train_identically(self, setup):
+    def test_imitation_paths_train_identically(self, setup, monkeypatch):
         dataset, features = setup
         results = {}
-        for vectorized in (True, False):
+        for engine in (True, False):
             agent = MMKGRAgent(features, config=_config(), rng=0)
             environment = MKGEnvironment(dataset.train_graph, max_steps=3, max_actions=16)
-            trainer = ImitationTrainer(
-                agent,
-                environment,
-                ImitationConfig(
-                    epochs=4,
-                    batch_size=8,
-                    learning_rate=8e-3,
-                    max_demonstrations=20,
-                    vectorized=vectorized,
-                ),
-                rng=0,
+            config = ImitationConfig(
+                epochs=4, batch_size=8, learning_rate=8e-3, max_demonstrations=20
             )
-            assert trainer.vectorized is vectorized
+            trainer = _build(
+                engine,
+                monkeypatch,
+                lambda: ImitationTrainer(agent, environment, config, rng=0),
+            )
+            assert trainer.vectorized is engine
             losses = trainer.fit(dataset.splits.train[:30])
-            results[vectorized] = (losses, agent)
+            results[engine] = (losses, agent)
         np.testing.assert_allclose(results[True][0], results[False][0], atol=1e-9)
         for fast_param, slow_param in zip(
             results[True][1].parameters(), results[False][1].parameters()
@@ -232,7 +247,7 @@ class TestTrainerIntegration:
             np.testing.assert_allclose(fast_param.data, slow_param.data, atol=1e-8)
         assert results[True][0][-1] < results[True][0][0]
 
-    def test_hierarchical_agent_falls_back_to_scalar(self, setup):
+    def test_hierarchical_agent_falls_back_to_scalar(self, setup, monkeypatch):
         dataset, features = setup
         agent = HierarchicalAgent(
             features, config=_config(FusionVariant.STRUCTURE_ONLY), rng=0
@@ -242,8 +257,8 @@ class TestTrainerIntegration:
             BatchedRolloutEngine(
                 agent, MKGEnvironment(dataset.train_graph, max_steps=3, max_actions=16)
             )
-        _, trainer = self._trainer(setup, vectorized=True, agent=agent)
-        assert not trainer.vectorized  # requested but unsupported -> scalar loop
+        _, trainer = self._trainer(setup, True, monkeypatch, agent=agent)
+        assert not trainer.vectorized  # unsupported -> per-query loop
         history = trainer.fit(dataset.splits.train[:8])
         assert len(history.epoch_rewards) == 2
         environment = MKGEnvironment(dataset.train_graph, max_steps=3, max_actions=16)

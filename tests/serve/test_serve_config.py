@@ -1,8 +1,8 @@
-"""ServeConfig tests: validation, overrides, and the legacy-kwarg shim.
+"""ServeConfig tests: validation, overrides, and the server's config surface.
 
 The unified config is the one surface every entry point (constructor, CLI,
-load-test spec) funnels through, so its validation errors and the
-deprecation shim's mapping must stay exact.
+load-test spec) funnels through, so its validation errors must stay exact
+and the retired constructor kwargs must stay rejected.
 """
 
 from __future__ import annotations
@@ -74,29 +74,15 @@ class TestWithOverrides:
 
 
 class TestLegacyKwargShim:
-    def test_legacy_kwargs_warn_and_map_onto_config(self):
-        with pytest.warns(DeprecationWarning, match="pass config=ServeConfig"):
-            server = ReasoningServer(
-                _StubReasoner(),
-                max_batch_size=4,
-                max_wait_ms=1.5,
-                num_workers=2,
-                default_k=3,
-                seed=42,
-            )
-        try:
-            assert server.config.max_batch_size == 4
-            assert server.config.max_wait_ms == 1.5
-            assert server.config.workers == 2  # num_workers renamed
-            assert server.config.default_k == 3
-            assert server.config.seed == 42
-            assert server.config.backend == "threads"
-        finally:
-            server.close()
+    """The pre-ServeConfig constructor kwargs were removed in 2.0:
+    ``config=ServeConfig(...)`` is the only way to shape a server."""
 
-    def test_config_plus_legacy_kwargs_is_ambiguous(self):
-        with pytest.raises(ValueError, match="not both"):
-            ReasoningServer(_StubReasoner(), config=ServeConfig(), num_workers=2)
+    @pytest.mark.parametrize(
+        "kwarg", ["max_batch_size", "max_wait_ms", "num_workers", "default_k", "seed"]
+    )
+    def test_legacy_kwargs_are_rejected(self, kwarg):
+        with pytest.raises(TypeError, match=kwarg):
+            ReasoningServer(_StubReasoner(), **{kwarg: 2})
 
     def test_config_only_does_not_warn(self):
         import warnings

@@ -16,7 +16,8 @@ import urllib.request
 
 import pytest
 
-from repro.serve import Reasoner, ReasoningServer, ServerStats
+from repro.serve import Reasoner, ReasoningServer, ServeConfig, ServerStats
+from repro.utils.metrics import percentile
 
 
 @pytest.fixture(scope="module")
@@ -39,14 +40,20 @@ def _ranking(predictions):
 class TestSubmit:
     def test_served_results_match_direct_queries(self, fitted_reasoner, test_queries):
         direct = fitted_reasoner.query_batch(test_queries, k=5)
-        with ReasoningServer(fitted_reasoner, max_batch_size=8, max_wait_ms=20) as server:
+        with ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=8, max_wait_ms=20),
+        ) as server:
             futures = [server.submit(h, r, k=5) for h, r in test_queries]
             served = [f.result(timeout=30) for f in futures]
         for direct_one, served_one in zip(direct, served):
             assert _ranking(direct_one) == _ranking(served_one)
 
     def test_burst_traffic_forms_micro_batches(self, fitted_reasoner, test_queries):
-        with ReasoningServer(fitted_reasoner, max_batch_size=8, max_wait_ms=100) as server:
+        with ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=8, max_wait_ms=100),
+        ) as server:
             futures = [server.submit(h, r, k=3) for h, r in test_queries * 2]
             for future in futures:
                 future.result(timeout=30)
@@ -59,7 +66,10 @@ class TestSubmit:
 
     def test_error_isolation_across_batchmates(self, fitted_reasoner, test_queries):
         head, relation = test_queries[0]
-        with ReasoningServer(fitted_reasoner, max_batch_size=4, max_wait_ms=50) as server:
+        with ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=50),
+        ) as server:
             good = server.submit(head, relation, k=3)
             bad = server.submit("no-such-entity", relation, k=3)
             also_good = server.submit(head, relation, k=3)
@@ -71,7 +81,10 @@ class TestSubmit:
 
     def test_mixed_k_requests_are_grouped(self, fitted_reasoner, test_queries):
         head, relation = test_queries[0]
-        with ReasoningServer(fitted_reasoner, max_batch_size=8, max_wait_ms=50) as server:
+        with ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=8, max_wait_ms=50),
+        ) as server:
             three = server.submit(head, relation, k=3).result(timeout=30)
             five = server.submit(head, relation, k=5).result(timeout=30)
         assert len(three) <= 3
@@ -84,7 +97,8 @@ class TestSubmit:
         # FIRE's pruned environment is the path that still fills the cache.
         pruned = pruned_reasoner_of(fitted_reasoner)
         with ReasoningServer(
-            pruned, max_batch_size=4, max_wait_ms=10, num_workers=3
+            pruned,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10, workers=3),
         ) as server:
             futures = [server.submit(h, r, k=3) for h, r in test_queries * 4]
             results = [f.result(timeout=30) for f in futures]
@@ -131,38 +145,30 @@ class TestPercentile:
     """
 
     def test_single_sample_window_returns_the_sample(self):
-        from repro.serve.server import _percentile
-
         for fraction in (0.0, 0.5, 0.99, 1.0):
-            assert _percentile([0.042], fraction) == 0.042
+            assert percentile([0.042], fraction) == 0.042
 
     def test_two_sample_window_interpolates(self):
-        from repro.serve.server import _percentile
-
         sample = [0.010, 0.020]
-        assert _percentile(sample, 0.50) == pytest.approx(0.015)
-        assert _percentile(sample, 0.99) == pytest.approx(0.0199)
-        assert _percentile(sample, 0.0) == 0.010
-        assert _percentile(sample, 1.0) == 0.020
+        assert percentile(sample, 0.50) == pytest.approx(0.015)
+        assert percentile(sample, 0.99) == pytest.approx(0.0199)
+        assert percentile(sample, 0.0) == 0.010
+        assert percentile(sample, 1.0) == 0.020
 
     def test_hundred_sample_window_matches_numpy(self):
         import numpy as np
 
-        from repro.serve.server import _percentile
-
         sample = [float(value) for value in range(1, 101)]
         for fraction in (0.50, 0.90, 0.99):
-            assert _percentile(sample, fraction) == pytest.approx(
+            assert percentile(sample, fraction) == pytest.approx(
                 float(np.percentile(sample, 100 * fraction))
             )
-        assert _percentile(sample, 0.50) == pytest.approx(50.5)
-        assert _percentile(sample, 0.99) == pytest.approx(99.01)
+        assert percentile(sample, 0.50) == pytest.approx(50.5)
+        assert percentile(sample, 0.99) == pytest.approx(99.01)
 
     def test_order_independence(self):
-        from repro.serve.server import _percentile
-
         shuffled = [0.03, 0.01, 0.05, 0.02, 0.04]
-        assert _percentile(shuffled, 0.5) == 0.03
+        assert percentile(shuffled, 0.5) == 0.03
 
 
 class TestParseQueryObject:
@@ -198,7 +204,10 @@ class TestParseQueryObject:
         import threading
         import urllib.request
 
-        server = ReasoningServer(fitted_reasoner, max_batch_size=4, max_wait_ms=10)
+        server = ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10),
+        )
         httpd = server.http_server("127.0.0.1", 0)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
@@ -224,7 +233,10 @@ class TestParseQueryObject:
 class TestHTTPFrontEnd:
     @pytest.fixture()
     def http_server(self, fitted_reasoner):
-        server = ReasoningServer(fitted_reasoner, max_batch_size=4, max_wait_ms=10)
+        server = ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10),
+        )
         httpd = server.http_server("127.0.0.1", 0)  # ephemeral port
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
@@ -300,13 +312,19 @@ class TestHealthz:
     """
 
     def test_unstarted_server_is_unready(self, fitted_reasoner):
-        server = ReasoningServer(fitted_reasoner, max_batch_size=4, max_wait_ms=10)
+        server = ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10),
+        )
         healthy, payload = server.healthz_dict()
         assert healthy is False and payload["status"] == "unready"
         server.close()
 
     def test_running_server_reports_per_model_readiness(self, fitted_reasoner):
-        with ReasoningServer(fitted_reasoner, max_batch_size=4, max_wait_ms=10) as server:
+        with ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10),
+        ) as server:
             server.add_model(reasoner=fitted_reasoner.replicate(), name="replica")
             healthy, payload = server.healthz_dict()
             assert healthy is True and payload["status"] == "ok"
@@ -314,7 +332,10 @@ class TestHealthz:
             assert all(model["ready"] for model in payload["models"].values())
 
     def test_drain_flips_healthz_before_workers_finish(self, fitted_reasoner):
-        server = ReasoningServer(fitted_reasoner, max_batch_size=4, max_wait_ms=10).start()
+        server = ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10),
+        ).start()
         server.close()
         healthy, payload = server.healthz_dict()
         assert healthy is False
@@ -322,7 +343,10 @@ class TestHealthz:
         assert all(model["ready"] is False for model in payload["models"].values())
 
     def test_http_healthz_returns_503_while_draining(self, fitted_reasoner):
-        server = ReasoningServer(fitted_reasoner, max_batch_size=4, max_wait_ms=10)
+        server = ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10),
+        )
         httpd = server.http_server("127.0.0.1", 0)
         thread = threading.Thread(target=httpd.serve_forever, daemon=True)
         thread.start()
@@ -356,7 +380,10 @@ class TestStdioFrontEnd:
             json.dumps({"head": "no-such-entity", "relation": r0}),
         ]
         output = io.StringIO()
-        with ReasoningServer(fitted_reasoner, max_batch_size=4, max_wait_ms=10) as server:
+        with ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10),
+        ) as server:
             failures = server.serve_stdio(io.StringIO("\n".join(lines) + "\n"), output)
         records = [json.loads(line) for line in output.getvalue().splitlines()]
         assert failures == 2
@@ -387,7 +414,10 @@ class TestStdioFrontEnd:
             json.dumps({"head": h2, "relation": r2, "k": 2}),
         ]
         output = io.StringIO()
-        with ReasoningServer(fitted_reasoner, max_batch_size=4, max_wait_ms=10) as server:
+        with ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=4, max_wait_ms=10),
+        ) as server:
             failures = server.serve_stdio(io.StringIO("\n".join(lines) + "\n"), output)
         records = [json.loads(line) for line in output.getvalue().splitlines()]
         # 3 failures: broken JSON + unknown entity + boolean head.
@@ -406,7 +436,10 @@ class TestStdioFrontEnd:
     def test_all_failures_stream_returns_every_error(self, fitted_reasoner):
         lines = ["nonsense", json.dumps({"head": "ghost", "relation": "ghost-rel"})]
         output = io.StringIO()
-        with ReasoningServer(fitted_reasoner, max_batch_size=2, max_wait_ms=5) as server:
+        with ReasoningServer(
+            fitted_reasoner,
+            config=ServeConfig(max_batch_size=2, max_wait_ms=5),
+        ) as server:
             failures = server.serve_stdio(io.StringIO("\n".join(lines) + "\n"), output)
         records = [json.loads(line) for line in output.getvalue().splitlines()]
         assert failures == 2

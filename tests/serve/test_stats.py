@@ -7,7 +7,13 @@ import time
 import pytest
 
 from repro.serve.batcher import DynamicBatcher
-from repro.serve.server import _LATENCY_WINDOW, STAGES, ReasoningServer, ServerStats
+from repro.serve.server import (
+    _LATENCY_WINDOW,
+    STAGES,
+    ReasoningServer,
+    ServeConfig,
+    ServerStats,
+)
 
 
 class TestLatencyWindowRollover:
@@ -114,7 +120,8 @@ class _SleepyReasoner:
 class TestEndToEndStageTiming:
     def test_served_requests_populate_every_stage(self):
         server = ReasoningServer(
-            _SleepyReasoner(), max_batch_size=4, max_wait_ms=2.0, num_workers=1
+            _SleepyReasoner(),
+            config=ServeConfig(max_batch_size=4, max_wait_ms=2.0, workers=1),
         ).start()
         try:
             futures = [server.submit(0, 0, k=1) for _ in range(12)]
